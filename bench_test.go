@@ -65,7 +65,7 @@ func benchProtocol(b *testing.B, cfg Config, size int) {
 	cfg.NumReceivers = 30
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(DefaultSim(30), cfg, size)
+		res, err := Run(context.Background(), DefaultSim(30), ProtocolSpec(cfg), size)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func benchScaled(b *testing.B, proto Protocol) {
 			cfg = ScaleForTopology(cfg, sim)
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				res, err := Simulate(sim, cfg, size)
+				res, err := Run(context.Background(), sim, ProtocolSpec(cfg), size)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func benchSmallMsg(b *testing.B, v2 bool) {
 	}
 	var mbps, wireKB float64
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(sim, cfg, size)
+		res, err := Run(context.Background(), sim, ProtocolSpec(cfg), size)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkProtoSmallMsgV2(b *testing.B) { benchSmallMsg(b, true) }
 func BenchmarkTCPBaseline(b *testing.B) {
 	const size = 426502
 	for i := 0; i < b.N; i++ {
-		res, err := SimulateTCP(DefaultSim(30), DefaultTCP(), size)
+		res, err := Run(context.Background(), DefaultSim(30), TCPSpec(DefaultTCP()), size)
 		if err != nil {
 			b.Fatal(err)
 		}

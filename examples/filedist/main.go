@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,16 +19,16 @@ func main() {
 	fmt.Printf("distributing a %d-byte file\n\n", fileSize)
 	fmt.Printf("%-10s %-14s %-18s %s\n", "receivers", "TCP (s)", "ACK multicast (s)", "speedup")
 	for _, n := range []int{1, 2, 4, 8, 16, 24, 30} {
-		tcp, err := rmcast.SimulateTCP(rmcast.DefaultSim(n), rmcast.DefaultTCP(), fileSize)
+		tcp, err := rmcast.Run(context.Background(), rmcast.DefaultSim(n), rmcast.TCPSpec(rmcast.DefaultTCP()), fileSize)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mc, err := rmcast.Simulate(rmcast.DefaultSim(n), rmcast.Config{
+		mc, err := rmcast.Run(context.Background(), rmcast.DefaultSim(n), rmcast.ProtocolSpec(rmcast.Config{
 			Protocol:     rmcast.ProtoACK,
 			NumReceivers: n,
 			PacketSize:   50000,
 			WindowSize:   2,
-		}, fileSize)
+		}), fileSize)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("%-8s %-12s %-12s %s\n", "proto", "time", "throughput", "sender acks processed")
 	for _, cfg := range configs {
 		cfg.NumReceivers = receivers
-		res, err := rmcast.Simulate(rmcast.DefaultSim(receivers), cfg, size)
+		res, err := rmcast.Run(context.Background(), rmcast.DefaultSim(receivers), rmcast.ProtocolSpec(cfg), size)
 		if err != nil {
 			log.Fatalf("%v: %v", cfg.Protocol, err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func TestCalibrationReport(t *testing.T) {
 	}
 
 	// Figure 8 anchors: 426502-byte file.
-	tcp1, err := RunTCP(Default(1), unicast.DefaultConfig(), 426502)
+	tcp1, err := Run(context.Background(), Default(1), TCPSpec(unicast.DefaultConfig()), 426502)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestCalibrationReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	report("fig8 ACK multicast 30 receivers", m30.Elapsed, 64*time.Millisecond)
-	tcp30, err := RunTCP(Default(30), unicast.DefaultConfig(), 426502)
+	tcp30, err := Run(context.Background(), Default(30), TCPSpec(unicast.DefaultConfig()), 426502)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCalibrationReport(t *testing.T) {
 	}
 
 	// Figure 9 anchor: raw UDP vs ACK at 32 KB.
-	udp, err := RunRawUDP(Default(30), 32768, 32768)
+	udp, err := Run(context.Background(), Default(30), RawUDPSpec(32768), 32768)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,9 +188,6 @@ type Cluster struct {
 // Sharded reports whether the cluster executes on multiple shards.
 func (c *Cluster) Sharded() bool { return c.sh != nil }
 
-// Group returns the multicast group address every host joined.
-func (c *Cluster) Group() ipnet.Addr { return c.group }
-
 // NewWithHostCosts builds the testbed with a per-host cost override:
 // costsFor(host) may return a replacement cost model for that host or
 // nil to keep cfg.Costs. Used to model individual stragglers.
@@ -380,6 +377,3 @@ func (c *Cluster) lossFn() func(*ethernet.Frame) bool {
 	p := c.Cfg.LossRate
 	return func(*ethernet.Frame) bool { return r.Bool(p) }
 }
-
-// HostAddr maps a protocol NodeID to its host address.
-func (c *Cluster) HostAddr(id core.NodeID) ipnet.Addr { return ipnet.Addr(id) }

@@ -143,11 +143,11 @@ func TestLossInjectionRecovers(t *testing.T) {
 
 func TestTCPBaselineScalesLinearly(t *testing.T) {
 	const size = 426502 // the paper's Figure 8 file
-	t1, err := RunTCP(Default(1), unicast.DefaultConfig(), size)
+	t1, err := Run(context.Background(), Default(1), TCPSpec(unicast.DefaultConfig()), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := RunTCP(Default(4), unicast.DefaultConfig(), size)
+	t4, err := Run(context.Background(), Default(4), TCPSpec(unicast.DefaultConfig()), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestMulticastBeatsTCPForManyReceivers(t *testing.T) {
 	// The paper's headline (Figure 8): multicast time is nearly flat in
 	// the number of receivers, TCP is linear.
 	const size = 426502
-	tcp, err := RunTCP(Default(10), unicast.DefaultConfig(), size)
+	tcp, err := Run(context.Background(), Default(10), TCPSpec(unicast.DefaultConfig()), size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMulticastBeatsTCPForManyReceivers(t *testing.T) {
 }
 
 func TestRawUDPBaseline(t *testing.T) {
-	res, err := RunRawUDP(Default(8), 8000, 32000)
+	res, err := Run(context.Background(), Default(8), RawUDPSpec(8000), 32000)
 	if err != nil {
 		t.Fatal(err)
 	}

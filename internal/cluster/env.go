@@ -5,106 +5,145 @@ import (
 
 	"rmcast/internal/core"
 	"rmcast/internal/ipnet"
+	"rmcast/internal/metrics"
 	"rmcast/internal/packet"
 	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 	"rmcast/internal/wire"
 )
 
-// nodeEnv implements core.Env for one simulated host: protocol sends
+// binding places one session on the fabric — its UDP port, multicast
+// group, and which host plays which protocol rank — and names the sinks
+// its observations go to. Every env of the session shares one binding:
+// the two rank maps are allocated once, and each datagram pays a slice
+// index for the translation.
+type binding struct {
+	c     *Cluster
+	port  int
+	group ipnet.Addr
+	// hostOf maps protocol rank (0 = sender) to host address; rankOf is
+	// its inverse over every host of the cluster, -1 for a host outside
+	// the session.
+	hostOf []ipnet.Addr
+	rankOf []core.NodeID
+	mx     *metrics.Session // nil: nothing is counted
+	tr     *trace.Buffer    // nil: nothing is traced
+	// sess tags the binding's shard-log entries with the transfer they
+	// belong to (see shardState.transfers).
+	sess int
+}
+
+// bind builds the binding that runs rank r on host hostOf[r].
+func (c *Cluster) bind(port int, group ipnet.Addr, hostOf []ipnet.Addr, mx *metrics.Session, tr *trace.Buffer) *binding {
+	b := &binding{c: c, port: port, group: group, hostOf: hostOf,
+		rankOf: make([]core.NodeID, len(c.Hosts)), mx: mx, tr: tr}
+	for h := range b.rankOf {
+		b.rankOf[h] = -1
+	}
+	for r, h := range hostOf {
+		b.rankOf[h] = core.NodeID(r)
+	}
+	return b
+}
+
+// rotateRoot is the rank-to-host map of a session rooted at host root:
+// rank 0 is the root, ranks 1..N the remaining hosts in address order.
+// Root 0 is the identity, the classic Run's mapping.
+func rotateRoot(hosts int, root core.NodeID) []ipnet.Addr {
+	hostOf := append(make([]ipnet.Addr, 0, hosts), ipnet.Addr(root))
+	for h := 0; h < hosts; h++ {
+		if core.NodeID(h) != root {
+			hostOf = append(hostOf, ipnet.Addr(h))
+		}
+	}
+	return hostOf
+}
+
+// bindRoot is the all-hosts binding rooted at root, on the cluster's
+// own group and sinks. Run is bindRoot(0, Port).
+func (c *Cluster) bindRoot(root core.NodeID, port int) *binding {
+	return c.bind(port, c.group, rotateRoot(len(c.Hosts), root), c.Cfg.Metrics, c.Cfg.Trace)
+}
+
+// env implements core.Env for one rank of a binding: protocol sends
 // become UDP datagrams through the host's socket (paying syscall and
 // copy costs on the host CPU), timers run on the host, and packets
 // arriving on the socket are decoded and dispatched to the endpoint.
-type nodeEnv struct {
-	c    *Cluster
-	id   core.NodeID
+type env struct {
+	b    *binding
+	rank core.NodeID
 	host *ipnet.Host
 	sock *ipnet.Socket
-	ep   core.Endpoint
+	ep   core.Endpoint // set before any packet can arrive
 
 	// codec frames this node's traffic in wire format v2; nil leaves
-	// the v1 path below byte-identical to the golden traces.
+	// the v1 path byte-identical to the golden traces.
 	codec *wire.Codec
-
-	decodeErrors uint64
-	unknownFrom  uint64
 }
 
-// newNodeEnv binds the endpoint socket on the host for node id. Call
-// setEndpoint before any packet can arrive.
-func (c *Cluster) newNodeEnv(id core.NodeID) *nodeEnv {
-	e := &nodeEnv{c: c, id: id, host: c.Hosts[id]}
-	e.sock = e.host.Bind(Port, e.onDatagram)
+// newEnv binds rank's socket on its host.
+func (b *binding) newEnv(rank core.NodeID) *env {
+	e := &env{b: b, rank: rank, host: b.c.Hosts[b.hostOf[rank]]}
+	e.sock = e.host.Bind(b.port, e.onDatagram)
 	return e
 }
-
-func (e *nodeEnv) setEndpoint(ep core.Endpoint) { e.ep = ep }
 
 // enableWireV2 switches the node to v2 framing: coalescible data
 // packets queue in the codec's batcher and leave as carrier frames on a
 // zero-delay timer (after the current event, same virtual time), and
 // arriving frames decode strictly — any damaged frame is counted and
 // dropped whole.
-func (e *nodeEnv) enableWireV2(minCompress, mtu int) {
-	e.codec = wire.NewCodec(minCompress, mtu, e.c.Cfg.Metrics,
+func (e *env) enableWireV2(minCompress, mtu int) {
+	e.codec = wire.NewCodec(minCompress, mtu, e.b.mx,
 		func() { e.host.SetTimer(0, func() { e.codec.FlushBatch() }) },
-		func(frame []byte) { e.sock.SendTo(e.c.Group(), Port, frame) })
+		func(frame []byte) { e.sock.SendTo(e.b.group, e.b.port, frame) })
 }
 
-func (e *nodeEnv) onDatagram(dg *ipnet.Datagram) {
+func (e *env) onDatagram(dg *ipnet.Datagram) {
 	frame := dg.Payload
-	if mangle := e.c.Cfg.RxMangle; mangle != nil {
-		if frame = mangle(int(e.id), frame); frame == nil {
+	if mangle := e.b.c.Cfg.RxMangle; mangle != nil {
+		if frame = mangle(int(e.rank), frame); frame == nil {
 			return
 		}
 	}
+	src := int(dg.Src)
+	if src < 0 || src >= len(e.b.rankOf) || e.b.rankOf[src] < 0 {
+		return // not a member of this session
+	}
+	from := e.b.rankOf[src]
 	if e.codec != nil {
-		from := core.NodeID(dg.Src)
-		if int(from) < 0 || int(from) >= len(e.c.Hosts) {
-			e.unknownFrom++
-			return
-		}
-		if err := e.codec.Decode(frame, func(p *packet.Packet) {
-			e.trace(trace.Recv, int(from), p)
-			e.c.Cfg.Metrics.CountRecv(p.Type)
-			if e.ep != nil {
-				e.ep.OnPacket(from, p)
-			}
-		}); err != nil {
-			e.decodeErrors++
-		}
+		// The codec counts the frames it rejects.
+		_ = e.codec.Decode(frame, func(p *packet.Packet) { e.receive(from, p) })
 		return
 	}
 	p, err := packet.Decode(frame)
 	if err != nil {
-		e.decodeErrors++
+		e.b.mx.CountCorruptFrame()
 		return
 	}
-	from := core.NodeID(dg.Src)
-	if int(from) < 0 || int(from) >= len(e.c.Hosts) {
-		e.unknownFrom++
-		return
-	}
+	e.receive(from, p)
+}
+
+func (e *env) receive(from core.NodeID, p *packet.Packet) {
 	e.trace(trace.Recv, int(from), p)
-	e.c.Cfg.Metrics.CountRecv(p.Type)
+	e.b.mx.CountRecv(p.Type)
 	if e.ep != nil {
 		e.ep.OnPacket(from, p)
 	}
 }
 
-// trace records one protocol event if tracing is enabled. Timestamps
-// come from the node's own host clock — identical to the global clock
-// in serial runs — and sharded runs route the event through the node's
-// shard log, from which the coordinator merges the global stream in
-// serial order at the next window barrier.
-func (e *nodeEnv) trace(dir trace.Dir, peer int, p *packet.Packet) {
-	buf := e.c.Cfg.Trace
-	if buf == nil {
+// trace records one protocol event, in rank space, if tracing is
+// enabled. Timestamps come from the node's own host clock — identical
+// to the global clock in serial runs — and sharded runs route the event
+// through the node's shard log, from which the coordinator merges the
+// global stream in serial order at the next window barrier.
+func (e *env) trace(dir trace.Dir, peer int, p *packet.Packet) {
+	if e.b.tr == nil {
 		return
 	}
 	ev := trace.Event{
 		At:    e.host.Now(),
-		Node:  int(e.id),
+		Node:  int(e.rank),
 		Dir:   dir,
 		Peer:  peer,
 		Type:  p.Type,
@@ -114,51 +153,55 @@ func (e *nodeEnv) trace(dir trace.Dir, peer int, p *packet.Packet) {
 		Aux:   p.Aux,
 		Len:   len(p.Payload),
 	}
-	if sh := e.c.sh; sh != nil {
-		sh.logs[sh.part.HostShard[int(e.id)]].add(shardEntry{at: ev.At, rank: -1, ev: ev})
+	if sh := e.b.c.sh; sh != nil {
+		sh.logFor(e.b.hostOf[e.rank]).add(shardEntry{at: ev.At, sess: e.b.sess, rank: -1, ev: ev})
 		return
 	}
-	buf.Add(ev)
+	e.b.tr.Add(ev)
 }
 
-func (e *nodeEnv) Now() time.Duration { return e.host.Now() }
-
-func (e *nodeEnv) Send(to core.NodeID, p *packet.Packet) {
-	e.trace(trace.Send, int(to), p)
-	e.c.Cfg.Metrics.CountSend(p.Type)
-	if e.codec != nil {
-		e.sock.SendTo(e.c.HostAddr(to), Port, e.codec.EncodeUnicast(p))
-		return
-	}
+// encodeV1 frames p in wire format v1, counting the frame when the
+// session opted into wire accounting.
+func (e *env) encodeV1(p *packet.Packet) []byte {
 	enc := p.Encode()
-	if e.c.Cfg.CountWire {
-		e.c.Cfg.Metrics.CountWireFrame(len(enc), len(enc), 1, false)
+	if e.b.c.Cfg.CountWire {
+		e.b.mx.CountWireFrame(len(enc), len(enc), 1, false)
 	}
-	e.sock.SendTo(e.c.HostAddr(to), Port, enc)
+	return enc
 }
 
-func (e *nodeEnv) Multicast(p *packet.Packet) {
+func (e *env) Now() time.Duration { return e.host.Now() }
+
+func (e *env) Send(to core.NodeID, p *packet.Packet) {
+	e.trace(trace.Send, int(to), p)
+	e.b.mx.CountSend(p.Type)
+	var frame []byte
+	if e.codec != nil {
+		frame = e.codec.EncodeUnicast(p)
+	} else {
+		frame = e.encodeV1(p)
+	}
+	e.sock.SendTo(e.b.hostOf[to], e.b.port, frame)
+}
+
+func (e *env) Multicast(p *packet.Packet) {
 	e.trace(trace.SendMC, trace.Multicast, p)
-	e.c.Cfg.Metrics.CountSend(p.Type)
+	e.b.mx.CountSend(p.Type)
 	if e.codec != nil {
 		e.codec.Multicast(p)
 		return
 	}
-	enc := p.Encode()
-	if e.c.Cfg.CountWire {
-		e.c.Cfg.Metrics.CountWireFrame(len(enc), len(enc), 1, false)
-	}
-	e.sock.SendTo(e.c.Group(), Port, enc)
+	e.sock.SendTo(e.b.group, e.b.port, e.encodeV1(p))
 }
 
-func (e *nodeEnv) SetTimer(d time.Duration, fn func()) core.TimerID {
+func (e *env) SetTimer(d time.Duration, fn func()) core.TimerID {
 	return core.TimerID(e.host.SetTimer(d, fn))
 }
 
-func (e *nodeEnv) CancelTimer(id core.TimerID) {
+func (e *env) CancelTimer(id core.TimerID) {
 	e.host.CancelTimer(sim.EventID(id))
 }
 
-func (e *nodeEnv) UserCopy(n int) {
+func (e *env) UserCopy(n int) {
 	e.host.UserCopy(n, func() {})
 }

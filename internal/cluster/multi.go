@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -10,11 +9,8 @@ import (
 	"rmcast/internal/ethernet"
 	"rmcast/internal/ipnet"
 	"rmcast/internal/metrics"
-	"rmcast/internal/packet"
-	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 	"rmcast/internal/unicast"
-	"rmcast/internal/wire"
 )
 
 // Multi-session runs put N concurrent reliable multicast sessions — and
@@ -120,154 +116,6 @@ type MultiResult struct {
 	SwitchStats []ethernet.SwitchStats
 }
 
-// msEnv implements core.Env for one endpoint of one session (or cross
-// flow) in a multi-session run: nodeEnv with a per-session port, group,
-// rank-to-host mapping, and per-session metrics/trace sinks.
-type msEnv struct {
-	c      *Cluster
-	sess   int
-	rank   core.NodeID
-	host   *ipnet.Host
-	hostIx int
-	sock   *ipnet.Socket
-	ep     core.Endpoint
-	port   int
-	group  ipnet.Addr
-	hosts  []int // rank -> host index
-	rankOf map[ipnet.Addr]core.NodeID
-	mx     *metrics.Session
-	tr     *trace.Buffer
-
-	codec *wire.Codec // non-nil when the session runs WireV2
-}
-
-// enableWireV2 switches the endpoint to v2 framing (see nodeEnv).
-func (e *msEnv) enableWireV2(minCompress, mtu int) {
-	e.codec = wire.NewCodec(minCompress, mtu, e.mx,
-		func() { e.host.SetTimer(0, func() { e.codec.FlushBatch() }) },
-		func(frame []byte) { e.sock.SendTo(e.group, e.port, frame) })
-}
-
-func (c *Cluster) newSessEnv(sess int, rank core.NodeID, port int, group ipnet.Addr,
-	hosts []int, rankOf map[ipnet.Addr]core.NodeID, mx *metrics.Session, tr *trace.Buffer) *msEnv {
-	e := &msEnv{
-		c: c, sess: sess, rank: rank, hostIx: hosts[rank], port: port, group: group,
-		hosts: hosts, rankOf: rankOf, mx: mx, tr: tr,
-	}
-	e.host = c.Hosts[e.hostIx]
-	e.sock = e.host.Bind(port, e.onDatagram)
-	return e
-}
-
-func (e *msEnv) setEndpoint(ep core.Endpoint) { e.ep = ep }
-
-func (e *msEnv) onDatagram(dg *ipnet.Datagram) {
-	from, ok := e.rankOf[dg.Src]
-	if !ok {
-		return // not a member of this session
-	}
-	if e.codec != nil {
-		_ = e.codec.Decode(dg.Payload, func(p *packet.Packet) {
-			e.trace(trace.Recv, int(from), p)
-			e.mx.CountRecv(p.Type)
-			if e.ep != nil {
-				e.ep.OnPacket(from, p)
-			}
-		})
-		return
-	}
-	p, err := packet.Decode(dg.Payload)
-	if err != nil {
-		return
-	}
-	e.trace(trace.Recv, int(from), p)
-	e.mx.CountRecv(p.Type)
-	if e.ep != nil {
-		e.ep.OnPacket(from, p)
-	}
-}
-
-func (e *msEnv) trace(dir trace.Dir, peer int, p *packet.Packet) {
-	if e.tr == nil {
-		return
-	}
-	ev := trace.Event{
-		At:    e.host.Now(),
-		Node:  int(e.rank),
-		Dir:   dir,
-		Peer:  peer,
-		Type:  p.Type,
-		Flags: p.Flags,
-		MsgID: p.MsgID,
-		Seq:   p.Seq,
-		Aux:   p.Aux,
-		Len:   len(p.Payload),
-	}
-	if sh := e.c.sh; sh != nil {
-		sh.logs[sh.part.HostShard[e.hostIx]].add(shardEntry{at: ev.At, sess: e.sess, rank: -1, ev: ev})
-		return
-	}
-	e.tr.Add(ev)
-}
-
-func (e *msEnv) Now() time.Duration { return e.host.Now() }
-
-func (e *msEnv) Send(to core.NodeID, p *packet.Packet) {
-	e.trace(trace.Send, int(to), p)
-	e.mx.CountSend(p.Type)
-	if e.codec != nil {
-		e.sock.SendTo(ipnet.Addr(e.hosts[to]), e.port, e.codec.EncodeUnicast(p))
-		return
-	}
-	e.sock.SendTo(ipnet.Addr(e.hosts[to]), e.port, p.Encode())
-}
-
-func (e *msEnv) Multicast(p *packet.Packet) {
-	e.trace(trace.SendMC, trace.Multicast, p)
-	e.mx.CountSend(p.Type)
-	if e.codec != nil {
-		e.codec.Multicast(p)
-		return
-	}
-	e.sock.SendTo(e.group, e.port, p.Encode())
-}
-
-func (e *msEnv) SetTimer(d time.Duration, fn func()) core.TimerID {
-	return core.TimerID(e.host.SetTimer(d, fn))
-}
-
-func (e *msEnv) CancelTimer(id core.TimerID) {
-	e.host.CancelTimer(sim.EventID(id))
-}
-
-func (e *msEnv) UserCopy(n int) {
-	e.host.UserCopy(n, func() {})
-}
-
-// sessDeliverFn builds receiver (sess, rank)'s completion callback:
-// direct emission in serial runs, a session-tagged shard-log append in
-// sharded ones.
-func (c *Cluster) sessDeliverFn(sess, rank, host int, emit func(rank int, at sim.Time, b []byte)) func([]byte) {
-	h := c.Hosts[host]
-	if c.sh == nil {
-		return func(b []byte) { emit(rank, h.Now(), b) }
-	}
-	lg := c.sh.logs[c.sh.part.HostShard[host]]
-	return func(b []byte) { lg.add(shardEntry{at: h.Now(), sess: sess, rank: rank, data: b}) }
-}
-
-// sessRun is the per-session live state inside RunMulti.
-type sessRun struct {
-	msg       []byte
-	delivered [][]byte
-	done      bool
-	endAt     sim.Time
-	startAt   sim.Time
-	sender    *core.Sender
-	recvStats []func() core.ReceiverStats
-	mx        *metrics.Session
-}
-
 func validateMulti(ccfg Config, specs []SessionSpec, flows []CrossFlow) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("cluster: RunMulti needs at least one session")
@@ -305,6 +153,9 @@ func validateMulti(ccfg Config, specs []SessionSpec, flows []CrossFlow) error {
 		}
 		if len(sp.Proto.Absent) > 0 {
 			return fmt.Errorf("cluster: session %d: multi-session membership is static; Absent is not supported", si)
+		}
+		if err := checkWireV2(ccfg, sp.Proto); err != nil {
+			return err
 		}
 	}
 	for fi := range flows {
@@ -345,79 +196,29 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		CrossCompleted: make([]int, len(flows)),
 	}
 	begin := c.Sim.Now()
-	runs := make([]*sessRun, len(specs))
-	emits := make([]func(rank int, at sim.Time, b []byte), len(specs))
-
+	transfers := make([]*transfer, len(specs))
 	for si := range specs {
-		si := si
 		sp := &specs[si]
 		mx := sp.Metrics
 		if mx == nil {
 			mx = metrics.NewSession()
 		}
 		pcfg := sp.Proto
-		pcfg.NumReceivers = len(sp.Receivers)
 		pcfg.SessionTag = uint32(si + 1)
 		group := sessionGroup(si)
-		port := sessionPortBase + si
-		hosts := append([]int{sp.Sender}, sp.Receivers...)
-		rankOf := make(map[ipnet.Addr]core.NodeID, len(hosts))
-		for r, h := range hosts {
-			rankOf[ipnet.Addr(h)] = core.NodeID(r)
+		hostOf := append(make([]ipnet.Addr, 0, 1+len(sp.Receivers)), ipnet.Addr(sp.Sender))
+		for _, h := range sp.Receivers {
+			hostOf = append(hostOf, ipnet.Addr(h))
+		}
+		for _, h := range hostOf {
 			c.Hosts[h].JoinGroup(group)
 		}
-		sr := &sessRun{
-			msg:       MakeSessionMessage(sp.MsgSize, si),
-			delivered: make([][]byte, len(hosts)),
-			startAt:   begin + sp.Start,
-			mx:        mx,
-		}
-		runs[si] = sr
-		envs := make([]*msEnv, len(hosts))
-		for r := range hosts {
-			envs[r] = c.newSessEnv(si, core.NodeID(r), port, group, hosts, rankOf, mx, sp.Trace)
-		}
-		if pcfg.WireV2 {
-			npc, err := pcfg.Normalize()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: session %d: %w", si, err)
-			}
-			if ccfg.Shards > 1 {
-				return nil, fmt.Errorf("cluster: WireV2 does not support sharded execution yet; set Shards to 0")
-			}
-			for _, e := range envs {
-				e.enableWireV2(npc.CompressThreshold, npc.CoalesceMTU)
-			}
-		}
-		emit := func(rank int, at sim.Time, b []byte) {
-			sr.delivered[rank] = b
-			sr.mx.ObserveCompletion(rank, at-sr.startAt)
-			if sp.OnDeliver != nil {
-				sp.OnDeliver(core.NodeID(rank), at-sr.startAt, b)
-			}
-		}
-		emits[si] = emit
-		snd, err := core.NewSender(envs[0], pcfg, func() {
-			sr.done = true
-			sr.endAt = envs[0].host.Now()
-		})
+		b := c.bind(sessionPortBase+si, group, hostOf, mx, sp.Trace)
+		t, err := b.attach(pcfg, MakeSessionMessage(sp.MsgSize, si), sp.Start, sp.OnDeliver)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: session %d: %w", si, err)
 		}
-		snd.SetMetrics(mx)
-		envs[0].setEndpoint(snd)
-		sr.sender = snd
-		for r := 1; r < len(hosts); r++ {
-			rcv, err := core.NewReceiver(envs[r], pcfg, core.NodeID(r), c.sessDeliverFn(si, r, hosts[r], emit))
-			if err != nil {
-				return nil, fmt.Errorf("cluster: session %d receiver %d: %w", si, r, err)
-			}
-			rcv.SetMetrics(mx)
-			envs[r].setEndpoint(rcv)
-			sr.recvStats = append(sr.recvStats, rcv.Stats)
-		}
-		msg := sr.msg
-		c.simForHost(sp.Sender).After(sp.Start, func() { snd.Start(msg) })
+		transfers[si] = t
 	}
 
 	for fi := range flows {
@@ -427,16 +228,14 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		if fcfg == (unicast.Config{}) {
 			fcfg = unicast.DefaultConfig()
 		}
-		port := flowPortBase + fi
-		hosts := []int{f.From, f.To}
-		rankOf := map[ipnet.Addr]core.NodeID{ipnet.Addr(f.From): 0, ipnet.Addr(f.To): 1}
-		se := c.newSessEnv(0, 0, port, 0, hosts, rankOf, nil, nil)
-		re := c.newSessEnv(0, 1, port, 0, hosts, rankOf, nil, nil)
+		// A flow is a two-rank binding with no group and no sinks.
+		b := c.bind(flowPortBase+fi, 0, []ipnet.Addr{ipnet.Addr(f.From), ipnet.Addr(f.To)}, nil, nil)
+		se, re := b.newEnv(0), b.newEnv(1)
 		rcv, err := unicast.NewReceiver(re, fcfg, 0, func([]byte) {})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: flow %d: %w", fi, err)
 		}
-		re.setEndpoint(rcv)
+		re.ep = rcv
 		msg := MakeMessage(f.Size)
 		remaining := f.Repeat
 		var launch func()
@@ -450,100 +249,27 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		if err != nil {
 			return nil, fmt.Errorf("cluster: flow %d: %w", fi, err)
 		}
-		se.setEndpoint(snd)
+		se.ep = snd
 		launch = func() { snd.Start(msg) }
 		c.simForHost(f.From).After(f.Start, launch)
 	}
 
-	if c.sh != nil {
-		c.sh.onTrace = func(sess int, ev trace.Event) {
-			if specs[sess].Trace != nil {
-				specs[sess].Trace.Add(ev)
-			}
-		}
-		c.sh.onDeliver = func(sess, rank int, at sim.Time, b []byte) { emits[sess](rank, at, b) }
-	}
-
-	wallStart := time.Now()
-	wallExceeded := false
-	canceled := false
-	endNow := begin
-	if c.sh != nil {
-		endNow, wallExceeded, canceled = c.driveSharded(ctx, nil, begin, wallStart)
-	} else {
-		for steps := 0; c.Sim.Pending() > 0; steps++ {
-			c.Sim.Step()
-			if c.Sim.Now()-begin > c.Cfg.Deadline {
-				break
-			}
-			if steps&4095 == 4095 {
-				if time.Since(wallStart) > c.Cfg.WallLimit {
-					wallExceeded = true
-					break
-				}
-				if ctx.Err() != nil {
-					canceled = true
-					break
-				}
-			}
-		}
-		endNow = c.Sim.Now()
-	}
-	for si := range specs {
-		specs[si].Trace.Flush()
-	}
-
-	res.Elapsed = endNow - begin
+	end, abort := c.drive(ctx, begin, nil, nil)
+	res.Elapsed = end - begin
 	res.Completed = true
-	for si := range specs {
-		sp := &specs[si]
-		sr := runs[si]
+	for si, t := range transfers {
+		specs[si].Trace.Flush()
 		r := &res.Sessions[si]
-		r.Start = sp.Start
-		r.Protocol = sp.Proto.Protocol
-		r.MsgSize = sp.MsgSize
-		r.Completed = sr.done
-		if !sr.done {
-			res.Completed = false
-		}
-		if sr.done {
-			r.Elapsed = sr.endAt - sr.startAt
-		} else if endNow > sr.startAt {
-			r.Elapsed = endNow - sr.startAt
-		}
-		if r.Elapsed > 0 {
-			r.ThroughputMbps = float64(sp.MsgSize) * 8 / r.Elapsed.Seconds() / 1e6
-		}
-		r.Verified = true
-		for rank := 1; rank <= len(sp.Receivers); rank++ {
-			if bytes.Equal(sr.delivered[rank], sr.msg) {
-				r.Delivered = append(r.Delivered, core.NodeID(rank))
-			} else {
-				r.Verified = false
-			}
-		}
-		r.SenderStats = sr.sender.Stats()
-		for _, f := range sr.recvStats {
-			r.ReceiverStats = append(r.ReceiverStats, f())
-		}
-		sr.mx.SetSenderBusy(c.Hosts[sp.Sender].Stats().CPUBusy)
-		r.Metrics = sr.mx.Snapshot()
+		r.Start = specs[si].Start
+		t.summarise(&r.Result, end)
+		res.Completed = res.Completed && r.Completed
 	}
-	for _, h := range c.Hosts {
-		res.HostStats = append(res.HostStats, h.Stats())
-	}
-	for _, sw := range c.Switches {
-		res.SwitchStats = append(res.SwitchStats, sw.Stats())
-	}
-	if canceled {
-		return res, ctx.Err()
+	res.HostStats, res.SwitchStats, _ = c.fabricStats()
+	if abort != nil && abort != errWallLimit {
+		return res, abort
 	}
 	if !res.Completed {
-		cause := fmt.Errorf("cluster: multi-session run exceeded virtual deadline %v", c.Cfg.Deadline)
-		if wallExceeded {
-			cause = fmt.Errorf("cluster: multi-session run exceeded wall-clock limit %v", c.Cfg.WallLimit)
-		}
-		return res, cause
+		return res, c.overrun("multi-session run", abort)
 	}
 	return res, nil
 }

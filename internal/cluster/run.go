@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"rmcast/internal/ipnet"
 	"rmcast/internal/metrics"
 	"rmcast/internal/sim"
-	"rmcast/internal/trace"
 	"rmcast/internal/unicast"
 )
 
@@ -136,30 +136,131 @@ func Run(ctx context.Context, ccfg Config, spec Spec, msgSize int) (*Result, err
 	}
 }
 
-// RunContext runs one reliable multicast transfer.
+// errWallLimit is drive's abort when Config.WallLimit trips; its other
+// abort is the context's own error.
+var errWallLimit = errors.New("cluster: wall-clock limit exceeded")
+
+// drive is the one event loop: it runs the cluster from virtual time
+// begin until done reports true (a nil done runs until the fabric
+// drains), one event past the virtual deadline, or until a guard trips,
+// and returns the final clock with the guard's abort, if any. tick,
+// when non-nil, runs before the first step and after every step — the
+// hook progress-triggered faults fire from.
 //
-// Deprecated: use Run with ProtoSpec.
-func RunContext(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int) (*Result, error) {
-	return Run(ctx, ccfg, ProtoSpec(pcfg), msgSize)
+// The stop rule is the caller's, never the user's: a single transfer
+// stops at its sender's completion — nothing later can change its
+// Result, and the golden traces pin exactly that event set; a
+// multi-session run drains, because its senders sit on several shards
+// where no one shard can observe them all, and drain is the one rule
+// under which serial and sharded runs execute the same event set.
+func (c *Cluster) drive(ctx context.Context, begin sim.Time, done func() bool, tick func()) (sim.Time, error) {
+	wallStart := time.Now()
+	if c.sh != nil {
+		// Progress-triggered faults were rejected at construction, so the
+		// sharded engine needs no tick; time-triggered events are already
+		// armed on their owning shards.
+		return c.driveSharded(ctx, begin, done, wallStart)
+	}
+	if tick != nil {
+		tick() // progress-0 faults fire before the session starts moving
+	}
+	for steps := 0; c.Sim.Pending() > 0 && (done == nil || !done()); steps++ {
+		c.Sim.Step()
+		if tick != nil {
+			tick()
+		}
+		if c.Sim.Now()-begin > c.Cfg.Deadline {
+			break
+		}
+		// The wall-clock guard catches livelocked simulations (events
+		// firing forever while virtual time crawls); the syscall is too
+		// expensive for every step. Cancellation shares the checkpoint.
+		if steps&4095 == 4095 {
+			if time.Since(wallStart) > c.Cfg.WallLimit {
+				return c.Sim.Now(), errWallLimit
+			}
+			if err := ctx.Err(); err != nil {
+				return c.Sim.Now(), err
+			}
+		}
+	}
+	return c.Sim.Now(), nil
+}
+
+// overrun is the error of a run that did not finish: the context's own
+// error when it was canceled, else which limit — wall-clock or virtual
+// deadline — stopped it.
+func (c *Cluster) overrun(what string, abort error) error {
+	switch abort {
+	case nil:
+		return fmt.Errorf("cluster: %s exceeded virtual deadline %v", what, c.Cfg.Deadline)
+	case errWallLimit:
+		return fmt.Errorf("cluster: %s exceeded wall-clock limit %v", what, c.Cfg.WallLimit)
+	}
+	return abort
+}
+
+// driveUntil is drive for the callers whose run is nothing but done
+// coming true: any other ending is an error naming what did not finish.
+func (c *Cluster) driveUntil(ctx context.Context, begin sim.Time, done func() bool, what string) (sim.Time, error) {
+	end, abort := c.drive(ctx, begin, done, nil)
+	switch {
+	case abort != nil || end-begin > c.Cfg.Deadline:
+		return end, c.overrun(what, abort)
+	case !done():
+		return end, fmt.Errorf("cluster: %s stalled (no pending events)", what)
+	}
+	return end, nil
+}
+
+// fabricStats snapshots every host and switch, and totals the datagrams
+// lost to full socket buffers.
+func (c *Cluster) fabricStats() (hosts []ipnet.HostStats, switches []ethernet.SwitchStats, overflow uint64) {
+	for _, h := range c.Hosts {
+		hs := h.Stats()
+		hosts = append(hosts, hs)
+		overflow += hs.SocketDrops
+	}
+	for _, sw := range c.Switches {
+		switches = append(switches, sw.Stats())
+	}
+	return hosts, switches, overflow
+}
+
+// checkWireV2 refuses the one protocol option the sharded engine cannot
+// run, before anything is built.
+func checkWireV2(ccfg Config, pcfg core.Config) error {
+	if pcfg.WireV2 && ccfg.Shards > 1 {
+		return fmt.Errorf("cluster: WireV2 does not support sharded execution yet; set Shards to 0")
+	}
+	return nil
 }
 
 // runProtocol executes a reliable multicast (or raw UDP) session.
 func runProtocol(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int) (*Result, error) {
-	pcfg.NumReceivers = ccfg.NumReceivers
-	if ccfg.Faults != nil && ccfg.Faults.HasChurn() {
-		if pcfg.Protocol == core.ProtoRawUDP {
+	if err := checkWireV2(ccfg, pcfg); err != nil {
+		return nil, err
+	}
+	if f := ccfg.Faults; f != nil && pcfg.Protocol == core.ProtoRawUDP {
+		if f.HasChurn() {
 			return nil, fmt.Errorf("cluster: raw UDP has no membership; join/leave events need a reliable protocol")
 		}
+		for _, e := range f.Events {
+			if e.ByProgress {
+				return nil, fmt.Errorf("cluster: raw UDP has no acknowledged progress; "+
+					"use a time trigger instead of %v", e)
+			}
+		}
+	} else if f != nil && f.HasChurn() {
 		// Join ranks start the run absent and enter via the handshake.
 		pcfg.Absent = nil
-		for _, j := range ccfg.Faults.Joiners() {
+		for _, j := range f.Joiners() {
 			pcfg.Absent = append(pcfg.Absent, core.NodeID(j))
 		}
 	}
 	if ccfg.Metrics == nil {
 		ccfg.Metrics = metrics.NewSession()
 	}
-	mx := ccfg.Metrics
 	c, err := New(ccfg)
 	if err != nil {
 		return nil, err
@@ -167,254 +268,49 @@ func runProtocol(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int
 	msg := ccfg.Message
 	if msg == nil {
 		msg = MakeMessage(msgSize)
-	} else {
-		msgSize = len(msg)
 	}
-
-	res := &Result{Protocol: pcfg.Protocol, MsgSize: msgSize}
-	senderDone := false
-	delivered := make([][]byte, ccfg.NumReceivers+1)
-
-	envs := make([]*nodeEnv, ccfg.NumReceivers+1)
-	for id := 0; id <= ccfg.NumReceivers; id++ {
-		envs[id] = c.newNodeEnv(core.NodeID(id))
+	t, err := c.bindRoot(core.SenderID, Port).attach(pcfg, msg, 0, ccfg.OnDeliver)
+	if err != nil {
+		return nil, err
 	}
-	if pcfg.WireV2 {
-		// Normalize resolves the compression threshold and carrier MTU
-		// (the endpoints will normalize again; Normalize is idempotent).
-		npc, err := pcfg.Normalize()
-		if err != nil {
-			return nil, err
-		}
-		if ccfg.Shards > 1 {
-			return nil, fmt.Errorf("cluster: WireV2 does not support sharded execution yet; set Shards to 0")
-		}
-		for _, e := range envs {
-			e.enableWireV2(npc.CompressThreshold, npc.CoalesceMTU)
-		}
+	// Churn and progress triggers are the reliable protocols' alone (raw
+	// UDP refused them above); its time-triggered faults are already armed.
+	var tick func()
+	if c.inj != nil && t.snd != nil {
+		c.inj.onJoin = func(rank int) { t.rcvs[rank].Join() }
+		c.inj.onLeave = func(rank int) { t.rcvs[rank].Leave() }
+		tick = func() { c.inj.tick(t.snd.Progress()) }
 	}
-	begin := c.Sim.Now()
-	// deliverEmit records one receiver's completed delivery. Serial runs
-	// call it at delivery time; sharded runs log deliveries per shard and
-	// replay them here, in globally merged order, at window barriers.
-	deliverEmit := func(rank int, at sim.Time, b []byte) {
-		delivered[rank] = b
-		mx.ObserveCompletion(rank, at-begin)
-		if ccfg.OnDeliver != nil {
-			ccfg.OnDeliver(core.NodeID(rank), at-begin, b)
-		}
-	}
-	if c.sh != nil {
-		c.sh.onDeliver = func(_, rank int, at sim.Time, b []byte) { deliverEmit(rank, at, b) }
-		c.sh.onTrace = func(_ int, ev trace.Event) { ccfg.Trace.Add(ev) }
-	}
-
-	var start func()
-	var senderStats func() core.SenderStats
-	var recvStats []func() core.ReceiverStats
-	var progress func() float64
-	var senderFailed func() []core.NodeID
-	var senderLeft func() []core.NodeID
-	var senderNeverJoined func() []core.NodeID
-
-	if pcfg.Protocol == core.ProtoRawUDP {
-		if ccfg.Faults != nil {
-			for _, e := range ccfg.Faults.Events {
-				if e.ByProgress {
-					return nil, fmt.Errorf("cluster: raw UDP has no acknowledged progress; "+
-						"use a time trigger instead of %v", e)
-				}
-			}
-		}
-		snd, err := core.NewRawSender(envs[0], pcfg, func() { senderDone = true })
-		if err != nil {
-			return nil, err
-		}
-		envs[0].setEndpoint(snd)
-		senderStats = snd.Stats
-		start = func() { snd.Start(msg) }
-		for r := 1; r <= ccfg.NumReceivers; r++ {
-			rcv, err := core.NewRawReceiver(envs[r], pcfg, core.NodeID(r), msgSize, c.deliverFn(r, deliverEmit))
-			if err != nil {
-				return nil, err
-			}
-			envs[r].setEndpoint(rcv)
-			recvStats = append(recvStats, rcv.Stats)
-		}
-	} else {
-		snd, err := core.NewSender(envs[0], pcfg, func() { senderDone = true })
-		if err != nil {
-			return nil, err
-		}
-		snd.SetMetrics(mx)
-		envs[0].setEndpoint(snd)
-		senderStats = snd.Stats
-		progress = snd.Progress
-		senderFailed = snd.Failed
-		senderLeft = snd.Left
-		senderNeverJoined = snd.NeverJoined
-		start = func() { snd.Start(msg) }
-		rcvs := make([]*core.Receiver, ccfg.NumReceivers+1)
-		for r := 1; r <= ccfg.NumReceivers; r++ {
-			rcv, err := core.NewReceiver(envs[r], pcfg, core.NodeID(r), c.deliverFn(r, deliverEmit))
-			if err != nil {
-				return nil, err
-			}
-			rcv.SetMetrics(mx)
-			envs[r].setEndpoint(rcv)
-			recvStats = append(recvStats, rcv.Stats)
-			rcvs[r] = rcv
-		}
-		if c.inj != nil {
-			c.inj.onJoin = func(rank int) { rcvs[rank].Join() }
-			c.inj.onLeave = func(rank int) { rcvs[rank].Leave() }
-		}
-	}
-
-	c.Sim.After(0, start)
-	wallStart := time.Now()
-	wallExceeded := false
-	canceled := false
-	endNow := begin
-	if c.sh != nil {
-		// Progress-triggered faults were rejected at construction, so the
-		// sharded drive needs no tick(); time-triggered events are already
-		// armed on their owning shards.
-		endNow, wallExceeded, canceled = c.driveSharded(ctx, func() bool { return senderDone }, begin, wallStart)
-	} else {
-		tick := func() {
-			if c.inj == nil {
-				return
-			}
-			p := 0.0
-			if progress != nil {
-				p = progress()
-			}
-			c.inj.tick(p)
-		}
-		tick() // progress-0 faults fire before the session starts moving
-		for steps := 0; c.Sim.Pending() > 0 && !senderDone; steps++ {
-			c.Sim.Step()
-			tick()
-			if c.Sim.Now()-begin > c.Cfg.Deadline {
-				break
-			}
-			// The wall-clock guard catches livelocked simulations (events
-			// firing forever while virtual time crawls); the syscall is too
-			// expensive for every step. Cancellation shares the checkpoint.
-			if steps&4095 == 4095 {
-				if time.Since(wallStart) > c.Cfg.WallLimit {
-					wallExceeded = true
-					break
-				}
-				if ctx.Err() != nil {
-					canceled = true
-					break
-				}
-			}
-		}
-		endNow = c.Sim.Now()
-	}
+	end, abort := c.drive(ctx, t.startAt, func() bool { return t.done }, tick)
 	// The session is over: hand the trace sink its final partial batch so
 	// stream consumers (invariant checkers) see exactly the events the
 	// metrics session counted.
 	ccfg.Trace.Flush()
-	res.Completed = senderDone
-	res.Elapsed = endNow - begin
-	if res.Elapsed > 0 {
-		res.ThroughputMbps = float64(msgSize) * 8 / res.Elapsed.Seconds() / 1e6
-	}
-	if senderFailed != nil {
-		res.Failed = senderFailed()
-	}
-	if senderLeft != nil {
-		res.Left = senderLeft()
-	}
-	if senderNeverJoined != nil {
-		res.NeverJoined = senderNeverJoined()
-	}
-	// Verification exempts the ranks outside the final membership:
-	// ejected, departed gracefully, or never admitted. A leaver or
-	// joiner that did deliver still counts in Delivered.
-	exempt := make(map[core.NodeID]bool, len(res.Failed)+len(res.Left)+len(res.NeverJoined))
-	for _, f := range res.Failed {
-		exempt[f] = true
-	}
-	for _, l := range res.Left {
-		exempt[l] = true
-	}
-	for _, n := range res.NeverJoined {
-		exempt[n] = true
-	}
-	res.Verified = true
-	for r := 1; r <= ccfg.NumReceivers; r++ {
-		if bytes.Equal(delivered[r], msg) {
-			res.Delivered = append(res.Delivered, core.NodeID(r))
-		} else if !exempt[core.NodeID(r)] {
-			res.Verified = false
-		}
-	}
-	res.SenderStats = senderStats()
-	for _, f := range recvStats {
-		res.ReceiverStats = append(res.ReceiverStats, f())
-	}
+	res := &Result{}
 	var overflow uint64
-	for _, h := range c.Hosts {
-		hs := h.Stats()
-		res.HostStats = append(res.HostStats, hs)
-		overflow += hs.SocketDrops
-	}
-	for _, sw := range c.Switches {
-		res.SwitchStats = append(res.SwitchStats, sw.Stats())
-	}
+	res.HostStats, res.SwitchStats, overflow = c.fabricStats()
 	if c.Bus != nil {
 		res.BusStats = c.Bus.Stats()
 	}
-	mx.AddOverflowDrops(overflow)
-	mx.SetSenderBusy(res.HostStats[0].CPUBusy)
-	res.Metrics = mx.Snapshot()
-	if canceled {
-		return res, ctx.Err()
+	ccfg.Metrics.AddOverflowDrops(overflow)
+	missing := t.summarise(res, end)
+	if abort != nil && abort != errWallLimit {
+		return res, abort
 	}
 	if !res.Completed {
-		cause := fmt.Errorf("cluster: %v session exceeded virtual deadline %v (size=%d)",
-			pcfg.Protocol, c.Cfg.Deadline, msgSize)
-		if wallExceeded {
-			cause = fmt.Errorf("cluster: %v session exceeded wall-clock limit %v (size=%d)",
-				pcfg.Protocol, c.Cfg.WallLimit, msgSize)
-		}
 		// Everything not demonstrably delivered counts as failed in the
 		// structured error, whether or not the sender got as far as
 		// ejecting it.
-		pr := &core.PartialResult{Delivered: res.Delivered, Err: cause}
-		for r := 1; r <= ccfg.NumReceivers; r++ {
-			if !bytes.Equal(delivered[r], msg) && !exempt[core.NodeID(r)] {
-				pr.Failed = append(pr.Failed, core.NodeID(r))
-			}
-		}
-		return res, pr
+		return res, &core.PartialResult{Delivered: res.Delivered, Failed: missing,
+			Err: c.overrun(fmt.Sprintf("%v session (size=%d)", pcfg.Protocol, len(msg)), abort)}
 	}
 	return res, nil
 }
 
-// RunTCP models the Figure 8 baseline: the sender transfers the message
-// to each receiver in turn over a TCP-like reliable unicast stream (what
-// a TCP-based broadcast in an MPI library amounts to). The returned
+// runTCP executes the sequential-unicast baseline: the sender transfers
+// the message to each receiver in turn over a TCP-like reliable unicast
+// stream (what a TCP-based broadcast in an MPI library amounts to). The
 // Result's Elapsed covers all transfers end to end.
-//
-// Deprecated: use Run with TCPSpec.
-func RunTCP(ccfg Config, ucfg unicast.Config, msgSize int) (*Result, error) {
-	return Run(context.Background(), ccfg, TCPSpec(ucfg), msgSize)
-}
-
-// RunTCPContext runs the TCP baseline with cancellation.
-//
-// Deprecated: use Run with TCPSpec.
-func RunTCPContext(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) (*Result, error) {
-	return Run(ctx, ccfg, TCPSpec(ucfg), msgSize)
-}
-
-// runTCP executes the sequential-unicast baseline.
 func runTCP(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) (*Result, error) {
 	if ccfg.Shards > 1 {
 		return nil, fmt.Errorf("cluster: the sequential TCP baseline runs serially; set Shards to 0")
@@ -432,10 +328,11 @@ func runTCP(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) 
 	// Protocol -1 marks the TCP baseline; callers label it "tcp".
 	res := &Result{Protocol: -1, MsgSize: msgSize}
 
+	b := c.bindRoot(core.SenderID, Port)
 	delivered := make([][]byte, ccfg.NumReceivers+1)
-	envs := make([]*nodeEnv, ccfg.NumReceivers+1)
-	for id := 0; id <= ccfg.NumReceivers; id++ {
-		envs[id] = c.newNodeEnv(core.NodeID(id))
+	envs := make([]*env, ccfg.NumReceivers+1)
+	for r := range envs {
+		envs[r] = b.newEnv(core.NodeID(r))
 	}
 	begin := c.Sim.Now()
 	for r := 1; r <= ccfg.NumReceivers; r++ {
@@ -447,70 +344,38 @@ func runTCP(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) 
 		if err != nil {
 			return nil, err
 		}
-		envs[r].setEndpoint(rcv)
+		envs[r].ep = rcv
 	}
 
-	finalize := func() {
-		ccfg.Trace.Flush()
-		var overflow uint64
-		for _, h := range c.Hosts {
-			hs := h.Stats()
-			res.HostStats = append(res.HostStats, hs)
-			overflow += hs.SocketDrops
-		}
-		mx.AddOverflowDrops(overflow)
-		mx.SetSenderBusy(res.HostStats[0].CPUBusy)
-		res.Metrics = mx.Snapshot()
-	}
-	for r := 1; r <= ccfg.NumReceivers; r++ {
+	for r := 1; r <= ccfg.NumReceivers && err == nil; r++ {
 		done := false
-		snd, err := unicast.NewSender(envs[0], ucfg, core.NodeID(r), func() { done = true })
-		if err != nil {
-			return nil, err
+		snd, serr := unicast.NewSender(envs[0], ucfg, core.NodeID(r), func() { done = true })
+		if serr != nil {
+			return nil, serr
 		}
-		envs[0].setEndpoint(snd)
+		envs[0].ep = snd
 		c.Sim.After(0, func() { snd.Start(msg) })
-		for steps := 0; c.Sim.Pending() > 0 && !done; steps++ {
-			c.Sim.Step()
-			if c.Sim.Now()-begin > c.Cfg.Deadline {
-				finalize()
-				return res, fmt.Errorf("cluster: tcp session exceeded deadline after receiver %d", r)
+		_, err = c.driveUntil(ctx, begin, func() bool { return done },
+			fmt.Sprintf("tcp transfer to receiver %d", r))
+	}
+	if err == nil {
+		res.Completed = true
+		res.Elapsed = c.Sim.Now() - begin
+		if res.Elapsed > 0 {
+			res.ThroughputMbps = float64(msgSize) * 8 / res.Elapsed.Seconds() / 1e6
+		}
+		res.Verified = true
+		for r := 1; r <= ccfg.NumReceivers; r++ {
+			if !bytes.Equal(delivered[r], msg) {
+				res.Verified = false
 			}
-			if steps&4095 == 4095 && ctx.Err() != nil {
-				finalize()
-				return res, ctx.Err()
-			}
-		}
-		if !done {
-			finalize()
-			return res, fmt.Errorf("cluster: tcp transfer to receiver %d stalled", r)
 		}
 	}
-	res.Completed = true
-	res.Elapsed = c.Sim.Now() - begin
-	if res.Elapsed > 0 {
-		res.ThroughputMbps = float64(msgSize) * 8 / res.Elapsed.Seconds() / 1e6
-	}
-	res.Verified = true
-	for r := 1; r <= ccfg.NumReceivers; r++ {
-		if !bytes.Equal(delivered[r], msg) {
-			res.Verified = false
-		}
-	}
-	finalize()
-	return res, nil
-}
-
-// RunRawUDP runs the unreliable baseline.
-//
-// Deprecated: use Run with RawUDPSpec.
-func RunRawUDP(ccfg Config, packetSize, msgSize int) (*Result, error) {
-	return Run(context.Background(), ccfg, RawUDPSpec(packetSize), msgSize)
-}
-
-// RunRawUDPContext runs the unreliable baseline with cancellation.
-//
-// Deprecated: use Run with RawUDPSpec.
-func RunRawUDPContext(ctx context.Context, ccfg Config, packetSize, msgSize int) (*Result, error) {
-	return Run(ctx, ccfg, RawUDPSpec(packetSize), msgSize)
+	ccfg.Trace.Flush()
+	var overflow uint64
+	res.HostStats, res.SwitchStats, overflow = c.fabricStats()
+	mx.AddOverflowDrops(overflow)
+	mx.SetSenderBusy(res.HostStats[0].CPUBusy)
+	res.Metrics = mx.Snapshot()
+	return res, err
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,30 +11,42 @@ import (
 	"rmcast/internal/ipnet"
 )
 
+// checkRootBinding reports whether bindRoot's two rank maps form the
+// rotate-root bijection over hosts 0..n: rank 0 on the root, every host
+// on exactly one rank, and rankOf the exact inverse of hostOf.
+func checkRootBinding(c *Cluster, root core.NodeID) error {
+	b := c.bindRoot(root, Port)
+	if len(b.hostOf) != len(c.Hosts) || len(b.rankOf) != len(c.Hosts) {
+		return fmt.Errorf("root %d: maps sized %d/%d for %d hosts", root, len(b.hostOf), len(b.rankOf), len(c.Hosts))
+	}
+	if got := core.NodeID(b.hostOf[core.SenderID]); got != root {
+		return fmt.Errorf("root %d: rank 0 maps to host %d", root, got)
+	}
+	seen := map[ipnet.Addr]bool{}
+	for r, h := range b.hostOf {
+		if int(h) < 0 || int(h) >= len(c.Hosts) || seen[h] {
+			return fmt.Errorf("root %d: rank %d maps to host %d (out of range or mapped twice)", root, r, h)
+		}
+		seen[h] = true
+		if back := b.rankOf[h]; back != core.NodeID(r) {
+			return fmt.Errorf("root %d: rankOf[hostOf[%d]] = %d", root, r, back)
+		}
+		// Ranks 1..N cover the non-root hosts in address order.
+		if r > 1 && h <= b.hostOf[r-1] {
+			return fmt.Errorf("root %d: ranks %d,%d not in host address order", root, r-1, r)
+		}
+	}
+	return nil
+}
+
 func TestSessionRankMapping(t *testing.T) {
 	c, err := New(Default(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for root := core.NodeID(0); root <= 5; root++ {
-		s := &Session{c: c, root: root}
-		seen := map[core.NodeID]bool{}
-		if got := s.hostForProto(core.SenderID); got != root {
-			t.Fatalf("root %d: proto 0 maps to host %d", root, got)
-		}
-		seen[root] = true
-		for p := core.NodeID(1); p <= 5; p++ {
-			h := s.hostForProto(p)
-			if seen[h] {
-				t.Fatalf("root %d: host %d mapped twice", root, h)
-			}
-			seen[h] = true
-			if back := s.protoForHost(h); back != p {
-				t.Fatalf("root %d: protoForHost(hostForProto(%d)) = %d", root, p, back)
-			}
-		}
-		if len(seen) != 6 {
-			t.Fatalf("root %d: mapping not a bijection: %v", root, seen)
+		if err := checkRootBinding(c, root); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -41,22 +54,13 @@ func TestSessionRankMapping(t *testing.T) {
 func TestSessionRankMappingQuick(t *testing.T) {
 	f := func(nRaw, rootRaw uint8) bool {
 		n := int(nRaw%20) + 1 // receivers
-		root := core.NodeID(int(rootRaw) % (n + 1))
-		s := &Session{root: root}
-		// Bijection over hosts 0..n.
-		seen := make(map[core.NodeID]bool, n+1)
-		seen[s.hostForProto(core.SenderID)] = true
-		for p := core.NodeID(1); int(p) <= n; p++ {
-			h := s.hostForProto(p)
-			if int(h) < 0 || int(h) > n || seen[h] {
-				return false
-			}
-			if s.protoForHost(h) != p {
-				return false
-			}
-			seen[h] = true
+		// The maps depend on the host count alone.
+		c := &Cluster{Hosts: make([]*ipnet.Host, n+1)}
+		err := checkRootBinding(c, core.NodeID(int(rootRaw)%(n+1)))
+		if err != nil {
+			t.Log(err)
 		}
-		return len(seen) == n+1 && s.hostForProto(core.SenderID) == root
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

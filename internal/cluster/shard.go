@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -20,7 +19,7 @@ import (
 // merged into the global stream at the next window barrier.
 type shardEntry struct {
 	at   sim.Time
-	sess int // session index (0 for single-session runs)
+	sess int // index into shardState.transfers
 	rank int // < 0: trace event; >= 1: delivery by this receiver
 	ev   trace.Event
 	data []byte
@@ -42,12 +41,16 @@ type shardState struct {
 	part  *topo.Partition
 	logs  []*shardLog // indexed by shard
 
-	// Emission hooks, wired by the run loop before driving. sess is the
-	// session index (always 0 for single-session runs).
-	onTrace   func(sess int, ev trace.Event)
-	onDeliver func(sess, rank int, at sim.Time, b []byte)
+	// transfers are the attached sessions, indexed by the sess their
+	// shard-log entries carry; merge emits each entry into its own.
+	transfers []*transfer
 
 	scratch []shardEntry
+}
+
+// logFor returns the log of the shard that executes host's events.
+func (sh *shardState) logFor(host ipnet.Addr) *shardLog {
+	return sh.logs[sh.part.HostShard[host]]
 }
 
 // initShards validates the configuration for sharded execution and
@@ -138,18 +141,6 @@ func (c *Cluster) portal(src, dst int, prop time.Duration, far *ethernet.SwitchP
 	}
 }
 
-// deliverFn builds the completion callback for receiver r: direct
-// emission in serial runs, a shard-log append (merged into the global
-// stream at the next window barrier) in sharded ones.
-func (c *Cluster) deliverFn(r int, emit func(rank int, at sim.Time, b []byte)) func([]byte) {
-	if c.sh == nil {
-		return func(b []byte) { emit(r, c.Sim.Now(), b) }
-	}
-	h := c.Hosts[r]
-	lg := c.sh.logs[c.sh.part.HostShard[r]]
-	return func(b []byte) { lg.add(shardEntry{at: h.Now(), rank: r, data: b}) }
-}
-
 // merge drains every shard log into the global stream. At a window
 // barrier all logged entries are strictly older than every future
 // event, so the full interleaving is known: concatenating in shard
@@ -165,49 +156,35 @@ func (sh *shardState) merge() {
 	sort.SliceStable(buf, func(i, j int) bool { return buf[i].at < buf[j].at })
 	for i := range buf {
 		e := &buf[i]
-		if e.rank < 0 {
-			sh.onTrace(e.sess, e.ev)
+		if t := sh.transfers[e.sess]; e.rank < 0 {
+			t.b.tr.Add(e.ev)
 		} else {
-			sh.onDeliver(e.sess, e.rank, e.at, e.data)
+			t.deliver(e.rank, e.at, e.data)
 		}
 		*e = shardEntry{} // drop payload references
 	}
 	sh.scratch = buf[:0]
 }
 
-// Sentinel aborts from the per-window barrier, mapped back to the
-// serial loop's wallExceeded/canceled flags.
-var (
-	errShardWall = errors.New("cluster: shard barrier wall-clock limit")
-	errShardCtx  = errors.New("cluster: shard barrier context canceled")
-)
-
-// driveSharded runs the event loop across the shard group, replicating
-// the serial loop's semantics: stop at completion (done, polled on the
-// primary shard; nil runs to drain — the multi-session mode, where
-// senders live on several shards and no single shard can observe them
-// all), one event past the virtual deadline, wall-clock and
-// cancellation checkpoints (here at window barriers instead of every
-// 4096 steps). It returns the final global clock and the abort flags.
-func (c *Cluster) driveSharded(ctx context.Context, done func() bool, begin sim.Time, wallStart time.Time) (now sim.Time, wallExceeded, canceled bool) {
-	sh := c.sh
-	barrier := func() error {
-		sh.merge()
-		if time.Since(wallStart) > c.Cfg.WallLimit {
-			return errShardWall
-		}
-		if ctx.Err() != nil {
-			return errShardCtx
-		}
-		return nil
-	}
-	now, _, err := sh.group.Run(sim.RunConfig{
+// driveSharded is drive on the shard group, replicating the serial
+// loop's semantics: stop at completion (done, polled on the primary
+// shard; nil runs to drain), one event past the virtual deadline, and
+// the wall-clock and cancellation checkpoints — here at window barriers
+// instead of every 4096 steps.
+func (c *Cluster) driveSharded(ctx context.Context, begin sim.Time, done func() bool, wallStart time.Time) (sim.Time, error) {
+	now, _, err := c.sh.group.Run(sim.RunConfig{
 		Primary:  0,
 		Done:     done,
 		Deadline: begin + c.Cfg.Deadline,
-		Barrier:  barrier,
+		Barrier: func() error {
+			c.sh.merge()
+			if time.Since(wallStart) > c.Cfg.WallLimit {
+				return errWallLimit
+			}
+			return ctx.Err()
+		},
 	})
-	return now, err == errShardWall, err == errShardCtx
+	return now, err
 }
 
 // MaxShards reports the maximum usable shard count for cfg's topology:

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"rmcast/internal/core"
@@ -110,6 +111,34 @@ func TestShardedRejections(t *testing.T) {
 		ccfg.Shards = 2
 		if _, err := Run(context.Background(), ccfg, TCPSpec(unicast.DefaultConfig()), 1000); err == nil {
 			t.Fatal("sharded TCP baseline was not rejected")
+		}
+	})
+	t.Run("wire-v2", func(t *testing.T) {
+		// Three shards on a two-domain fabric is what New would refuse:
+		// seeing the WireV2 message proves the check precedes the build.
+		ccfg := Default(30)
+		ccfg.Shards = 3
+		pcfg := protoConfig(core.ProtoNAK, 30)
+		pcfg.WireV2 = true
+		const want = "WireV2 does not support sharded execution"
+		if _, err := run(ccfg, pcfg, 1000); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("sharded WireV2 run: err = %v, want %q", err, want)
+		}
+		specs := []SessionSpec{{Proto: pcfg, Sender: 0, Receivers: []int{1, 2}, MsgSize: 1000}}
+		if _, err := RunMulti(context.Background(), ccfg, specs, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("sharded WireV2 multi-session run: err = %v, want %q", err, want)
+		}
+	})
+	t.Run("session-on-sharded-cluster", func(t *testing.T) {
+		ccfg := Default(30)
+		ccfg.Shards = 2
+		c, err := New(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewSession(c, 0, Port, protoConfig(core.ProtoNAK, 30), MakeMessage(1000))
+		if err == nil || !strings.Contains(err.Error(), "serial engine") {
+			t.Fatalf("NewSession on a sharded cluster: err = %v, want a serial-engine refusal", err)
 		}
 	})
 }

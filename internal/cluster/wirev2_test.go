@@ -15,6 +15,7 @@ import (
 	"rmcast/internal/check"
 	"rmcast/internal/cluster"
 	"rmcast/internal/core"
+	"rmcast/internal/packet"
 )
 
 // wirev2Scenarios covers all four protocol families under WireV2 with
@@ -156,52 +157,71 @@ func TestWireV2SmallMessageBytesOnWire(t *testing.T) {
 }
 
 // TestWireV2CorruptFrameInjection is the 100%-detection acceptance
-// test: a deterministic injector flips one bit in a fraction of the
-// frames arriving at receivers; every damaged frame must be counted
-// and dropped (CorruptFrames equals the injection count exactly — no
-// flip slips through any decode guard), the protocol must repair the
+// test: a deterministic injector damages a fraction of the frames
+// arriving at receivers; every damaged frame must be counted and
+// dropped (CorruptFrames equals the injection count exactly — no
+// damage slips through any decode guard), the protocol must repair the
 // losses, and every receiver must still deliver a byte-identical
-// message (zero corrupt deliveries).
+// message (zero corrupt deliveries). Under v2 the damage is a single
+// flipped bit, which the CRC catches; v1 has no checksum, so its row
+// injects the damage its decoder can detect — frames cut short of the
+// header — and pins that the failed decode is counted, not swallowed.
 func TestWireV2CorruptFrameInjection(t *testing.T) {
-	ccfg := cluster.Default(6)
-	pcfg := core.Config{Protocol: core.ProtoACK, PacketSize: 1000,
-		WindowSize: 8, WireV2: true}
-	injected := 0
-	seen := 0
-	ccfg.RxMangle = func(rank int, frame []byte) []byte {
-		if rank == 0 {
-			return frame // leave the sender's inbound acks alone
-		}
-		seen++
-		if seen%9 != 0 {
-			return frame
-		}
-		injected++
-		// The input may be shared across receivers of one multicast:
-		// corrupt a copy.
-		mut := append([]byte(nil), frame...)
-		bit := (seen * 13) % (len(mut) * 8)
-		mut[bit/8] ^= 1 << (bit % 8)
-		return mut
+	rows := map[string]struct {
+		wireV2 bool
+		damage func(seen int, frame []byte) []byte
+	}{
+		"v2-bitflip": {true, func(seen int, frame []byte) []byte {
+			// The input may be shared across receivers of one multicast:
+			// corrupt a copy.
+			mut := append([]byte(nil), frame...)
+			bit := (seen * 13) % (len(mut) * 8)
+			mut[bit/8] ^= 1 << (bit % 8)
+			return mut
+		}},
+		"v1-truncated": {false, func(seen int, frame []byte) []byte {
+			return frame[:1+seen%(packet.HeaderLen-1)]
+		}},
 	}
-	res, err := cluster.Run(context.Background(), ccfg, cluster.ProtoSpec(pcfg), 60000)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	for name, row := range rows {
+		row := row
+		t.Run(name, func(t *testing.T) {
+			ccfg := cluster.Default(6)
+			pcfg := core.Config{Protocol: core.ProtoACK, PacketSize: 1000,
+				WindowSize: 8, WireV2: row.wireV2}
+			injected := 0
+			seen := 0
+			ccfg.RxMangle = func(rank int, frame []byte) []byte {
+				if rank == 0 {
+					return frame // leave the sender's inbound acks alone
+				}
+				seen++
+				if seen%9 != 0 {
+					return frame
+				}
+				injected++
+				return row.damage(seen, frame)
+			}
+			res, err := cluster.Run(context.Background(), ccfg, cluster.ProtoSpec(pcfg), 60000)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if injected == 0 {
+				t.Fatal("injector never fired")
+			}
+			if !res.Completed || !res.Verified {
+				t.Fatalf("session did not recover: completed=%v verified=%v", res.Completed, res.Verified)
+			}
+			if got := res.Metrics.CorruptFrames; got != uint64(injected) {
+				t.Errorf("CorruptFrames = %d, injected %d: a damaged frame was not detected", got, injected)
+			}
+			if res.Metrics.Retransmissions == 0 {
+				t.Error("corruption caused no retransmissions; the injector hit nothing that mattered")
+			}
+			t.Logf("injected %d corrupt frames of %d seen; all detected, %d retransmissions repaired them",
+				injected, seen, res.Metrics.Retransmissions)
+		})
 	}
-	if injected == 0 {
-		t.Fatal("injector never fired")
-	}
-	if !res.Completed || !res.Verified {
-		t.Fatalf("session did not recover: completed=%v verified=%v", res.Completed, res.Verified)
-	}
-	if got := res.Metrics.CorruptFrames; got != uint64(injected) {
-		t.Errorf("CorruptFrames = %d, injected %d: a damaged frame was not detected", got, injected)
-	}
-	if res.Metrics.Retransmissions == 0 {
-		t.Error("corruption caused no retransmissions; the injector hit nothing that mattered")
-	}
-	t.Logf("injected %d corrupt frames of %d seen; all detected, %d retransmissions repaired them",
-		injected, seen, res.Metrics.Retransmissions)
 }
 
 // selectiveChurnScenario is one cell of the churn × selective-repeat

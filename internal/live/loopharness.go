@@ -105,7 +105,7 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 	}
 	// Join ranks start the run absent; every node shares the derived
 	// list (the sender seeds its out-set from it, peers their chain
-	// views), exactly as cluster.RunContext derives it from a fault
+	// views), exactly as cluster.Run derives it from a fault
 	// schedule.
 	if len(sc.Join) > 0 {
 		sc.Protocol.Absent = nil

@@ -151,27 +151,18 @@ func RawUDPSpec(packetSize int) Spec { return cluster.RawUDPSpec(packetSize) }
 
 // Run transfers one size-byte message on a fresh simulated testbed and
 // reports timing, throughput, per-layer statistics, and Metrics. It is
-// the single entry point behind Simulate, SimulateTCP, and
-// SimulateRawUDP; ctx cancels the simulation at its next checkpoint,
-// returning the partial result alongside ctx's error.
+// the single entry point for simulated transfers; ctx cancels the
+// simulation at its next checkpoint, returning the partial result
+// alongside ctx's error.
 func Run(ctx context.Context, sim SimConfig, spec Spec, size int) (*SimResult, error) {
 	return cluster.Run(ctx, sim, spec, size)
-}
-
-// Simulate transfers one size-byte message under cfg on a fresh
-// simulated testbed and reports timing, throughput, and per-layer
-// statistics.
-//
-// Deprecated: use Run with ProtocolSpec, which adds cancellation.
-func Simulate(sim SimConfig, cfg Config, size int) (*SimResult, error) {
-	return Run(context.Background(), sim, ProtocolSpec(cfg), size)
 }
 
 // PartialResult is the structured error a session returns when it ends
 // without full delivery to the original membership: receivers ejected
 // by failure detection (Config.MaxRetries), declared failed at the
 // session deadline (Config.SessionDeadline), or outstanding when the
-// run aborted. Errors returned by Simulate and LiveNode.Send unwrap to
+// run aborted. Errors returned by Run and LiveNode.Send unwrap to
 // it via errors.As.
 type PartialResult = core.PartialResult
 
@@ -207,22 +198,6 @@ type TCPConfig = unicast.Config
 
 // DefaultTCP returns Linux-2.2-flavored TCP baseline parameters.
 func DefaultTCP() TCPConfig { return unicast.DefaultConfig() }
-
-// SimulateTCP transfers one message to every receiver sequentially over
-// TCP-like unicast streams — the Figure 8 baseline.
-//
-// Deprecated: use Run with TCPSpec, which adds cancellation.
-func SimulateTCP(sim SimConfig, tcp TCPConfig, size int) (*SimResult, error) {
-	return Run(context.Background(), sim, TCPSpec(tcp), size)
-}
-
-// SimulateRawUDP blasts one message over unreliable UDP multicast — the
-// Figure 9 baseline.
-//
-// Deprecated: use Run with RawUDPSpec, which adds cancellation.
-func SimulateRawUDP(sim SimConfig, packetSize, size int) (*SimResult, error) {
-	return Run(context.Background(), sim, RawUDPSpec(packetSize), size)
-}
 
 // LiveConfig describes a node on the live UDP-multicast transport.
 type LiveConfig = live.Config

@@ -10,10 +10,10 @@ import (
 // covered by the internal packages' suites.
 
 func TestSimulateFacade(t *testing.T) {
-	res, err := Simulate(DefaultSim(6), Config{
+	res, err := Run(context.Background(), DefaultSim(6), ProtocolSpec(Config{
 		Protocol: ProtoNAK, NumReceivers: 6,
 		PacketSize: 8000, WindowSize: 20, PollInterval: 17,
-	}, 200_000)
+	}), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSimulateFacade(t *testing.T) {
 }
 
 func TestSimulateTCPFacade(t *testing.T) {
-	res, err := SimulateTCP(DefaultSim(3), DefaultTCP(), 100_000)
+	res, err := Run(context.Background(), DefaultSim(3), TCPSpec(DefaultTCP()), 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSimulateTCPFacade(t *testing.T) {
 }
 
 func TestSimulateRawUDPFacade(t *testing.T) {
-	res, err := SimulateRawUDP(DefaultSim(3), 8000, 50_000)
+	res, err := Run(context.Background(), DefaultSim(3), RawUDPSpec(8000), 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPaperHeadlineOrdering(t *testing.T) {
 	run := func(cfg Config) float64 {
 		t.Helper()
 		cfg.NumReceivers = n
-		res, err := Simulate(DefaultSim(n), cfg, size)
+		res, err := Run(context.Background(), DefaultSim(n), ProtocolSpec(cfg), size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestSmallMessageEquivalence(t *testing.T) {
 		{Protocol: ProtoRing, PacketSize: 8000, WindowSize: n + 5},
 	} {
 		cfg.NumReceivers = n
-		res, err := Simulate(DefaultSim(n), cfg, 256)
+		res, err := Run(context.Background(), DefaultSim(n), ProtocolSpec(cfg), 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestSmallMessageEquivalence(t *testing.T) {
 	}
 	// And the tree with real height is slower (user-level relay).
 	cfg := Config{Protocol: ProtoTree, NumReceivers: n, PacketSize: 8000, WindowSize: 20, TreeHeight: n}
-	res, err := Simulate(DefaultSim(n), cfg, 256)
+	res, err := Run(context.Background(), DefaultSim(n), ProtocolSpec(cfg), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
