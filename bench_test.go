@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"rmcast/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -148,42 +146,6 @@ func BenchmarkProtoRing1024(b *testing.B) { benchScaled(b, ProtoRing) }
 func BenchmarkSmallMessage30Receivers(b *testing.B) {
 	benchProtocol(b, Config{Protocol: ProtoACK, PacketSize: 50000, WindowSize: 2}, 1)
 }
-
-// benchSmallMsg runs the small-message regime the v2 wire format
-// targets — a 256 KB log stream in 512-byte packets under the
-// window-streaming NAK sender — once per iteration, reporting both the
-// simulated goodput and the bytes the session put on the wire so the
-// v1/v2 pair quantifies what coalescing and compression buy.
-func benchSmallMsg(b *testing.B, v2 bool) {
-	const size = 256 * 1024
-	sim := DefaultSim(30)
-	sim.Message = workload.Logs(1, size)
-	cfg := Config{Protocol: ProtoNAK, NumReceivers: 30,
-		PacketSize: 512, WindowSize: 32, PollInterval: 11}
-	if v2 {
-		cfg.WireV2 = true
-	} else {
-		sim.CountWire = true
-	}
-	var mbps, wireKB float64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), sim, ProtocolSpec(cfg), size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Verified {
-			b.Fatal("corrupted delivery")
-		}
-		mbps = res.ThroughputMbps
-		wireKB = float64(res.Metrics.WireBytes) / 1024
-	}
-	b.ReportMetric(mbps, "sim-Mbps")
-	b.ReportMetric(wireKB, "wire-KB")
-	b.SetBytes(size)
-}
-
-func BenchmarkProtoSmallMsgV1(b *testing.B) { benchSmallMsg(b, false) }
-func BenchmarkProtoSmallMsgV2(b *testing.B) { benchSmallMsg(b, true) }
 
 func BenchmarkTCPBaseline(b *testing.B) {
 	const size = 426502

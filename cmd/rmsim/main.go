@@ -50,7 +50,7 @@ func main() {
 		loss      = flag.Float64("loss", 0, "injected frame loss rate (0..1)")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		verbose   = flag.Bool("v", false, "print per-host statistics")
-		selective = flag.Bool("selective", false, "use selective repeat instead of Go-Back-N")
+		selective = flag.Bool("selective", false, "use selective repeat instead of Go-Back-N (-selective=false pins Go-Back-N under -wirev2, whose default is selective repeat)")
 		naksupp   = flag.Bool("naksupp", false, "use receiver-side multicast NAK suppression")
 		wirev2    = flag.Bool("wirev2", false, "use wire format v2: CRC32-C checksummed frames, transparent compression, sub-MTU coalescing; selective repeat becomes the default ARQ (an explicit -selective overrides)")
 		pace      = flag.Duration("pace", 0, "rate-pace first transmissions (e.g. 700us; 0 = window only)")
@@ -149,22 +149,18 @@ func main() {
 		WindowSize:      *window,
 		TreeHeight:      *height,
 		NumRings:        *rings,
-		SelectiveRepeat: *selective,
 		NakSuppression:  *naksupp,
 		PaceInterval:    *pace,
 		MaxRetries:      *maxRetry,
 		SessionDeadline: *sessionDl,
+		WireV2:          *wirev2,
 	}
-	if *wirev2 {
-		pcfg.WireV2 = true
-		// Under v2 an explicit -selective choice pins the ARQ mode either
-		// way; untouched, ARQAuto promotes selective repeat.
-		if flagWasSet("selective") {
-			if *selective {
-				pcfg.ARQ = core.ARQSelective
-			} else {
-				pcfg.ARQ = core.ARQGoBackN
-			}
+	// An explicit -selective pins the ARQ mode either way; untouched,
+	// ARQAuto follows the wire format (selective repeat under -wirev2).
+	if flagWasSet("selective") {
+		pcfg.ARQ = core.ARQGoBackN
+		if *selective {
+			pcfg.ARQ = core.ARQSelective
 		}
 	}
 	// Topology-derived scaling (tree chain height and layout, multi-ring

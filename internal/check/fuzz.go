@@ -101,7 +101,7 @@ func (c Case) String() string {
 	if c.Proto.JoinCatchup == core.CatchupPeer {
 		b.WriteString(" catchup=peer")
 	}
-	if c.Proto.SelectiveRepeat {
+	if c.Proto.ARQ == core.ARQSelective {
 		b.WriteString(" selrep")
 	}
 	if c.Proto.NakSuppression {
@@ -217,7 +217,9 @@ func DeriveCase(seed uint64, index int) Case {
 		TreeHeight:   1 + r.Intn(n),
 	}
 	if proto != core.ProtoRawUDP {
-		pcfg.SelectiveRepeat = r.Bool(0.25)
+		if r.Bool(0.25) {
+			pcfg.ARQ = core.ARQSelective
+		}
 		pcfg.NakSuppression = r.Bool(0.2)
 		if r.Bool(0.1) {
 			pcfg.PaceInterval = time.Duration(20+r.Intn(180)) * time.Microsecond

@@ -39,7 +39,7 @@ type recvShadows struct {
 
 func newRecvShadows(info *RunInfo) *recvShadows {
 	s := &recvShadows{
-		selective: info.Proto.SelectiveRepeat,
+		selective: info.Proto.ARQ == core.ARQSelective,
 		count:     info.Count,
 		m:         make(map[int]*recvShadow, info.Proto.NumReceivers),
 		absent:    make(map[int]bool, len(info.Proto.Absent)),

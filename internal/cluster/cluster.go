@@ -196,6 +196,25 @@ func NewWithHostCosts(cfg Config, costsFor func(host int) *ipnet.CostModel) (*Cl
 	return New(cfg)
 }
 
+// fabric resolves the switched fabric the config describes: the
+// declarative Topo when set, else the Topology enum's canned spec. Nil
+// means the shared bus, which has no switches to describe.
+func (cfg Config) fabric() *topo.Spec {
+	if cfg.Topo != nil {
+		return cfg.Topo
+	}
+	var s topo.Spec
+	switch cfg.Topology {
+	case SharedBus:
+		return nil
+	case SingleSwitch:
+		s = topo.SingleSpec()
+	default:
+		s = topo.TwoSwitchSpec()
+	}
+	return &s
+}
+
 // New builds the testbed: hosts wired to the configured topology, all
 // joined to one multicast group.
 func New(cfg Config) (*Cluster, error) {
@@ -210,22 +229,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	// Resolve the fabric spec and layout up front: the shard partitioner
 	// needs them before any simulator, host, or switch exists.
-	spec := cfg.Topo
-	if spec != nil && cfg.Topology == SharedBus {
+	if cfg.Topo != nil && cfg.Topology == SharedBus {
 		return nil, fmt.Errorf("cluster: Topo and the shared-bus topology are mutually exclusive")
 	}
-	if spec == nil {
-		switch cfg.Topology {
-		case SharedBus:
-			// spec stays nil; buildBus below.
-		case SingleSwitch:
-			s := topo.SingleSpec()
-			spec = &s
-		default:
-			s := topo.TwoSwitchSpec()
-			spec = &s
-		}
-	}
+	spec := cfg.fabric()
 	var layout *topo.Layout
 	if spec != nil {
 		l, err := spec.Layout(cfg.NumReceivers+1, cfg.LinkRate)

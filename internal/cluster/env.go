@@ -76,27 +76,20 @@ type env struct {
 	sock *ipnet.Socket
 	ep   core.Endpoint // set before any packet can arrive
 
-	// codec frames this node's traffic in wire format v2; nil leaves
-	// the v1 path byte-identical to the golden traces.
+	// codec frames this node's traffic in the session's wire format.
 	codec *wire.Codec
 }
 
-// newEnv binds rank's socket on its host.
-func (b *binding) newEnv(rank core.NodeID) *env {
+// newEnv binds rank's socket on its host and builds its codec for
+// pcfg's wire format. What a v2 codec queues leaves on a zero-delay
+// timer: after the current event, at the same virtual time.
+func (b *binding) newEnv(rank core.NodeID, pcfg core.Config) *env {
 	e := &env{b: b, rank: rank, host: b.c.Hosts[b.hostOf[rank]]}
 	e.sock = e.host.Bind(b.port, e.onDatagram)
+	e.codec = wire.New(pcfg, b.c.Cfg.CountWire, b.mx,
+		func() { e.host.SetTimer(0, e.codec.FlushBatch) },
+		func(frame []byte) { e.sock.SendTo(b.group, b.port, frame) })
 	return e
-}
-
-// enableWireV2 switches the node to v2 framing: coalescible data
-// packets queue in the codec's batcher and leave as carrier frames on a
-// zero-delay timer (after the current event, same virtual time), and
-// arriving frames decode strictly — any damaged frame is counted and
-// dropped whole.
-func (e *env) enableWireV2(minCompress, mtu int) {
-	e.codec = wire.NewCodec(minCompress, mtu, e.b.mx,
-		func() { e.host.SetTimer(0, func() { e.codec.FlushBatch() }) },
-		func(frame []byte) { e.sock.SendTo(e.b.group, e.b.port, frame) })
 }
 
 func (e *env) onDatagram(dg *ipnet.Datagram) {
@@ -111,17 +104,8 @@ func (e *env) onDatagram(dg *ipnet.Datagram) {
 		return // not a member of this session
 	}
 	from := e.b.rankOf[src]
-	if e.codec != nil {
-		// The codec counts the frames it rejects.
-		_ = e.codec.Decode(frame, func(p *packet.Packet) { e.receive(from, p) })
-		return
-	}
-	p, err := packet.Decode(frame)
-	if err != nil {
-		e.b.mx.CountCorruptFrame()
-		return
-	}
-	e.receive(from, p)
+	// A frame the codec rejects is dropped whole; the codec counted it.
+	_ = e.codec.Decode(frame, func(p *packet.Packet) { e.receive(from, p) })
 }
 
 func (e *env) receive(from core.NodeID, p *packet.Packet) {
@@ -160,38 +144,18 @@ func (e *env) trace(dir trace.Dir, peer int, p *packet.Packet) {
 	e.b.tr.Add(ev)
 }
 
-// encodeV1 frames p in wire format v1, counting the frame when the
-// session opted into wire accounting.
-func (e *env) encodeV1(p *packet.Packet) []byte {
-	enc := p.Encode()
-	if e.b.c.Cfg.CountWire {
-		e.b.mx.CountWireFrame(len(enc), len(enc), 1, false)
-	}
-	return enc
-}
-
 func (e *env) Now() time.Duration { return e.host.Now() }
 
 func (e *env) Send(to core.NodeID, p *packet.Packet) {
 	e.trace(trace.Send, int(to), p)
 	e.b.mx.CountSend(p.Type)
-	var frame []byte
-	if e.codec != nil {
-		frame = e.codec.EncodeUnicast(p)
-	} else {
-		frame = e.encodeV1(p)
-	}
-	e.sock.SendTo(e.b.hostOf[to], e.b.port, frame)
+	e.sock.SendTo(e.b.hostOf[to], e.b.port, e.codec.EncodeUnicast(p))
 }
 
 func (e *env) Multicast(p *packet.Packet) {
 	e.trace(trace.SendMC, trace.Multicast, p)
 	e.b.mx.CountSend(p.Type)
-	if e.codec != nil {
-		e.codec.Multicast(p)
-		return
-	}
-	e.sock.SendTo(e.b.group, e.b.port, e.encodeV1(p))
+	e.codec.Multicast(p)
 }
 
 func (e *env) SetTimer(d time.Duration, fn func()) core.TimerID {

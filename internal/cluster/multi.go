@@ -228,9 +228,10 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		if fcfg == (unicast.Config{}) {
 			fcfg = unicast.DefaultConfig()
 		}
-		// A flow is a two-rank binding with no group and no sinks.
+		// A flow is a two-rank binding with no group and no sinks; the
+		// unicast streams speak wire v1 (the zero core.Config).
 		b := c.bind(flowPortBase+fi, 0, []ipnet.Addr{ipnet.Addr(f.From), ipnet.Addr(f.To)}, nil, nil)
-		se, re := b.newEnv(0), b.newEnv(1)
+		se, re := b.newEnv(0, core.Config{}), b.newEnv(1, core.Config{})
 		rcv, err := unicast.NewReceiver(re, fcfg, 0, func([]byte) {})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: flow %d: %w", fi, err)

@@ -332,7 +332,7 @@ func runTCP(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) 
 	delivered := make([][]byte, ccfg.NumReceivers+1)
 	envs := make([]*env, ccfg.NumReceivers+1)
 	for r := range envs {
-		envs[r] = b.newEnv(core.NodeID(r))
+		envs[r] = b.newEnv(core.NodeID(r), core.Config{}) // the unicast stream speaks wire v1
 	}
 	begin := c.Sim.Now()
 	for r := 1; r <= ccfg.NumReceivers; r++ {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"rmcast/internal/core"
-	"rmcast/internal/topo"
 )
 
 // MultiRingThreshold is the group size at which ScaleForTopology
@@ -30,18 +29,9 @@ const MultiRingThreshold = 256
 // config independently, so auto-derivation must happen before the
 // config fans out, not silently inside the runner.
 func ScaleForTopology(pcfg core.Config, ccfg Config) core.Config {
-	spec := ccfg.Topo
+	spec := ccfg.fabric()
 	if spec == nil {
-		switch ccfg.Topology {
-		case SingleSwitch:
-			s := topo.SingleSpec()
-			spec = &s
-		case SharedBus:
-			return pcfg
-		default:
-			s := topo.TwoSwitchSpec()
-			spec = &s
-		}
+		return pcfg
 	}
 	hosts := ccfg.NumReceivers + 1
 	n := ccfg.NumReceivers

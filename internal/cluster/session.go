@@ -31,8 +31,8 @@ type transfer struct {
 	onDeliver      func(rank core.NodeID, at time.Duration, payload []byte)
 }
 
-// attach builds the session's endpoints on b — one env per rank, v2
-// codecs when pcfg asks for them, the sender and its receivers wired to
+// attach builds the session's endpoints on b — one env per rank, each
+// with a codec for pcfg's wire format, the sender and its receivers wired to
 // the binding's metrics — and schedules the sender's Start after start
 // of virtual time. pcfg.NumReceivers is forced to the binding's size.
 // onDeliver, when non-nil, observes every completed delivery with the
@@ -53,18 +53,7 @@ func (b *binding) attach(pcfg core.Config, msg []byte, start time.Duration,
 		c.sh.transfers = append(c.sh.transfers, t)
 	}
 	for r := range t.envs {
-		t.envs[r] = b.newEnv(core.NodeID(r))
-	}
-	if pcfg.WireV2 {
-		// Normalize resolves the compression threshold and carrier MTU
-		// (the endpoints will normalize again; Normalize is idempotent).
-		npc, err := pcfg.Normalize()
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range t.envs {
-			e.enableWireV2(npc.CompressThreshold, npc.CoalesceMTU)
-		}
+		t.envs[r] = b.newEnv(core.NodeID(r), pcfg)
 	}
 	onDone := func() {
 		t.done = true

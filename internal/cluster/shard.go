@@ -192,18 +192,9 @@ func (c *Cluster) driveSharded(ctx context.Context, begin sim.Time, done func() 
 // which cannot shard). CLI front ends use it to resolve `-shards auto`
 // and validate explicit counts before any simulation starts.
 func MaxShards(cfg Config) int {
-	spec := cfg.Topo
+	spec := cfg.fabric()
 	if spec == nil {
-		switch cfg.Topology {
-		case SharedBus:
-			return 0
-		case SingleSwitch:
-			s := topo.SingleSpec()
-			spec = &s
-		default:
-			s := topo.TwoSwitchSpec()
-			spec = &s
-		}
+		return 0
 	}
 	l, err := spec.Layout(cfg.NumReceivers+1, cfg.LinkRate)
 	if err != nil {

@@ -236,7 +236,7 @@ type selectiveChurnScenario struct {
 // intersection of dynamic membership and selective repeat: a joiner's
 // have bitmap is seeded at the join base, so out-of-order and
 // below-base packets around the join must neither panic nor
-// double-deliver, under both explicit SelectiveRepeat (v1 framing) and
+// double-deliver, under both explicit ARQSelective (v1 framing) and
 // the v2 default. Every cell runs the full invariant-checker harness.
 func TestChurnSelectiveRepeatMatrix(t *testing.T) {
 	cells := map[string]selectiveChurnScenario{
@@ -286,7 +286,7 @@ func TestChurnSelectiveRepeatMatrix(t *testing.T) {
 				if arm == "wirev2" {
 					pcfg.WireV2 = true // ARQAuto resolves to selective repeat
 				} else {
-					pcfg.SelectiveRepeat = true
+					pcfg.ARQ = core.ARQSelective
 				}
 				out, err := check.Execute(context.Background(), ccfg, pcfg, size)
 				if err != nil {

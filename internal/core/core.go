@@ -142,14 +142,6 @@ type Config struct {
 	// NoUserCopy skips the user-space copy into the protocol buffer —
 	// the deliberately incorrect variant of the paper's Figure 9.
 	NoUserCopy bool
-	// SelectiveRepeat switches error recovery from Go-Back-N to
-	// selective repeat: receivers buffer out-of-order packets (directly
-	// into the preallocated message buffer) and the sender retransmits
-	// only NAKed/timed-out packets. The paper chose Go-Back-N because
-	// wired-LAN error rates make the schemes perform identically while
-	// Go-Back-N is simpler; this option exists to test that claim
-	// (ablation_gobackn).
-	SelectiveRepeat bool
 	// NakSuppression enables the receiver-side multicast NAK
 	// suppression scheme of Pingali [16] that the paper describes but
 	// does not use: a receiver detecting a gap waits a random delay and
@@ -221,13 +213,17 @@ type Config struct {
 	// strictly and reject v1 frames. Off (the default) keeps the v1 wire
 	// format byte-identical.
 	WireV2 bool
-	// ARQ selects the retransmission scheme under WireV2: ARQAuto (the
-	// default) resolves to selective repeat when WireV2 is set — the v2
-	// default, since coalesced small-message streams make Go-Back-N's
-	// full-window rewinds expensive — and to Go-Back-N otherwise.
-	// ARQGoBackN / ARQSelective force a scheme explicitly (the ablation
-	// knob). Normalize folds this into SelectiveRepeat; code past
-	// Normalize reads only that field.
+	// ARQ selects the error-recovery scheme. Under ARQSelective
+	// receivers buffer out-of-order packets (directly into the
+	// preallocated message buffer) and the sender retransmits only
+	// NAKed/timed-out packets; under ARQGoBackN it rewinds the window.
+	// The paper chose Go-Back-N because wired-LAN error rates make the
+	// schemes perform identically while Go-Back-N is simpler
+	// (ablation_gobackn tests that claim). ARQAuto (the default)
+	// follows the wire format: selective repeat under WireV2, since
+	// coalesced small-message streams make Go-Back-N's full-window
+	// rewinds expensive, and Go-Back-N otherwise. Normalize resolves
+	// ARQAuto, so code past it sees only the two explicit schemes.
 	ARQ ARQMode
 	// CompressThreshold is the smallest payload WireV2 attempts to
 	// compress (default packet.DefaultCompressThreshold; negative
@@ -244,7 +240,7 @@ type ARQMode int
 
 const (
 	// ARQAuto follows the wire format: selective repeat under WireV2,
-	// Go-Back-N otherwise (unless SelectiveRepeat is set directly).
+	// Go-Back-N otherwise.
 	ARQAuto ARQMode = iota
 	// ARQGoBackN forces Go-Back-N.
 	ARQGoBackN
@@ -418,24 +414,17 @@ func (c Config) Normalize() (Config, error) {
 	}
 	switch c.ARQ {
 	case ARQAuto:
+		c.ARQ = ARQGoBackN
 		if c.WireV2 {
-			c.SelectiveRepeat = true
+			c.ARQ = ARQSelective
 		}
-	case ARQGoBackN:
-		c.SelectiveRepeat = false
-	case ARQSelective:
-		c.SelectiveRepeat = true
+	case ARQGoBackN, ARQSelective:
 	default:
 		return c, fmt.Errorf("core: invalid ARQ mode %d", int(c.ARQ))
 	}
 	if c.WireV2 {
-		if c.CompressThreshold == 0 {
-			c.CompressThreshold = packet.DefaultCompressThreshold
-		}
-		if c.CoalesceMTU == 0 {
-			c.CoalesceMTU = packet.DefaultCoalesceMTU
-		}
-		if c.CoalesceMTU < packet.HeaderLenV2+2+packet.HeaderLen+packet.TrailerLen {
+		// Zero keeps each knob's default, which internal/wire resolves.
+		if c.CoalesceMTU != 0 && c.CoalesceMTU < packet.MinCoalesceMTU {
 			return c, fmt.Errorf("core: CoalesceMTU %d cannot fit a single coalesced header", c.CoalesceMTU)
 		}
 		if c.PacketSize > MaxPacketSize-packet.OverheadV2 {

@@ -342,13 +342,6 @@ func (s *Sender) onLeave(from NodeID) {
 
 // --- receiver side ---------------------------------------------------
 
-// Present reports whether this receiver is currently a group member
-// (false before a late join completes).
-func (r *Receiver) Present() bool { return r.present }
-
-// HasLeft reports whether this receiver has departed gracefully.
-func (r *Receiver) HasLeft() bool { return r.left }
-
 // Join starts the admission handshake for a receiver constructed
 // absent: TypeJoinReq is retried until the sender's TypeJoinOK arrives.
 func (r *Receiver) Join() {
@@ -412,7 +405,7 @@ func (r *Receiver) onJoinOK(p *packet.Packet) {
 		r.nakPending = false
 		r.nakGen++
 		r.owedAcks = r.owedAcks[:0]
-		if r.cfg.SelectiveRepeat {
+		if r.cfg.ARQ == ARQSelective {
 			r.have = make([]bool, r.count)
 		} else {
 			r.have = nil

@@ -74,15 +74,11 @@ func (e *reuseEnv) UserCopy(int) {}
 // returns. Selective repeat is the sharper variant — its out-of-order
 // store path handles payloads the Go-Back-N path never sees.
 func TestDecodeBufferReuseDoesNotCorruptDelivery(t *testing.T) {
-	for _, selective := range []bool{false, true} {
-		name := "gobackn"
-		if selective {
-			name = "selective"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, arq := range []ARQMode{ARQGoBackN, ARQSelective} {
+		t.Run(arq.String(), func(t *testing.T) {
 			m := &reuseNet{s: sim.New(), endpoints: make(map[NodeID]Endpoint)}
 			cfg := Config{Protocol: ProtoACK, NumReceivers: 3, PacketSize: 512,
-				WindowSize: 4, SelectiveRepeat: selective}
+				WindowSize: 4, ARQ: arq}
 			msg := pattern(8192)
 			delivered := make([][]byte, cfg.NumReceivers+1)
 			done := false
@@ -130,7 +126,7 @@ func TestDecodeBufferReuseDoesNotCorruptDelivery(t *testing.T) {
 func TestSelectiveRepeatOutOfRangeSeq(t *testing.T) {
 	m := newMockNet(1)
 	cfg := Config{Protocol: ProtoACK, NumReceivers: 1, PacketSize: 4,
-		WindowSize: 4, SelectiveRepeat: true}
+		WindowSize: 4, ARQ: ARQSelective}
 	deliveries := 0
 	rcv, err := NewReceiver(m.env(1), cfg, 1, func([]byte) { deliveries++ })
 	if err != nil {

@@ -408,6 +408,61 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNormalizeARQ pins the one ARQ knob over ARQ × WireV2: Auto
+// follows the wire format, an explicit scheme survives either format,
+// and past Normalize only the two explicit schemes exist. The v2 wire
+// knobs ride the same table: refused without WireV2 or below the
+// carrier floor, and their zero values left for internal/wire.
+func TestNormalizeARQ(t *testing.T) {
+	for _, c := range []struct {
+		arq    ARQMode
+		wireV2 bool
+		want   ARQMode
+	}{
+		{ARQAuto, false, ARQGoBackN},
+		{ARQAuto, true, ARQSelective},
+		{ARQGoBackN, false, ARQGoBackN},
+		{ARQGoBackN, true, ARQGoBackN},
+		{ARQSelective, false, ARQSelective},
+		{ARQSelective, true, ARQSelective},
+	} {
+		cfg := baseConfig(ProtoACK, 3)
+		cfg.ARQ, cfg.WireV2 = c.arq, c.wireV2
+		norm, err := cfg.Normalize()
+		if err != nil {
+			t.Fatalf("ARQ %v, WireV2 %v: %v", c.arq, c.wireV2, err)
+		}
+		if norm.ARQ != c.want {
+			t.Errorf("ARQ %v, WireV2 %v: resolved to %v, want %v", c.arq, c.wireV2, norm.ARQ, c.want)
+		}
+		if again, _ := norm.Normalize(); again.ARQ != norm.ARQ {
+			t.Errorf("ARQ %v, WireV2 %v: Normalize is not idempotent (%v then %v)", c.arq, c.wireV2, norm.ARQ, again.ARQ)
+		}
+		if c.wireV2 && (norm.CompressThreshold != 0 || norm.CoalesceMTU != 0) {
+			t.Errorf("Normalize resolved the v2 wire defaults (%d, %d); that is internal/wire's job",
+				norm.CompressThreshold, norm.CoalesceMTU)
+		}
+	}
+	const floor = packet.MinCoalesceMTU
+	for name, mut := range map[string]func(*Config){
+		"invalid ARQ":             func(c *Config) { c.ARQ = ARQSelective + 1 },
+		"threshold without v2":    func(c *Config) { c.CompressThreshold = -1 },
+		"MTU without v2":          func(c *Config) { c.CoalesceMTU = 1472 },
+		"MTU below carrier floor": func(c *Config) { c.WireV2, c.CoalesceMTU = true, floor-1 },
+	} {
+		cfg := baseConfig(ProtoACK, 3)
+		mut(&cfg)
+		if _, err := cfg.Normalize(); err == nil {
+			t.Errorf("%s: Normalize accepted an invalid config", name)
+		}
+	}
+	ok := baseConfig(ProtoACK, 3)
+	ok.WireV2, ok.CompressThreshold, ok.CoalesceMTU = true, -1, floor
+	if _, err := ok.Normalize(); err != nil {
+		t.Errorf("compression off at the MTU floor rejected: %v", err)
+	}
+}
+
 func TestPacketCount(t *testing.T) {
 	cfg := Config{PacketSize: 1000}
 	cases := []struct {

@@ -289,7 +289,7 @@ func (r *Receiver) onAllocReq(p *packet.Packet) {
 		r.nakPending = false
 		r.nakGen++
 		r.owedAcks = r.owedAcks[:0]
-		if r.cfg.SelectiveRepeat {
+		if r.cfg.ARQ == ARQSelective {
 			r.have = make([]bool, r.count)
 		} else {
 			r.have = nil
@@ -326,7 +326,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 		r.accept(p)
 	case p.Seq > r.next:
 		r.stats.Gaps++
-		if r.cfg.SelectiveRepeat && int(p.Seq) < len(r.have) && !r.have[p.Seq] {
+		if r.cfg.ARQ == ARQSelective && int(p.Seq) < len(r.have) && !r.have[p.Seq] {
 			// Selective repeat: keep the out-of-order packet (writing
 			// straight into the preallocated message buffer) and report
 			// only the missing sequence.

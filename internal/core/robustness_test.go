@@ -150,12 +150,14 @@ func TestConfigSpaceQuick(t *testing.T) {
 		proto := Protocol(protoRaw % 4)
 		n := int(nRaw%6) + 2
 		cfg := Config{
-			Protocol:        proto,
-			NumReceivers:    n,
-			PacketSize:      int(psRaw)*16 + 64,
-			WindowSize:      int(wRaw%12) + 2,
-			SelectiveRepeat: selective,
-			NakSuppression:  naksupp,
+			Protocol:       proto,
+			NumReceivers:   n,
+			PacketSize:     int(psRaw)*16 + 64,
+			WindowSize:     int(wRaw%12) + 2,
+			NakSuppression: naksupp,
+		}
+		if selective {
+			cfg.ARQ = ARQSelective
 		}
 		switch proto {
 		case ProtoNAK:

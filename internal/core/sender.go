@@ -566,7 +566,7 @@ func (s *Sender) onNak(from NodeID, seq uint32) {
 		// A NAK for an outstanding packet is this round's loss signal.
 		s.rc.OnLoss(s.win.Base, s.win.Next)
 	}
-	if s.cfg.SelectiveRepeat {
+	if s.cfg.ARQ == ARQSelective {
 		// Resend exactly the missing packet, with per-packet suppression
 		// so a burst of NAKs for one loss triggers one resend.
 		now := s.env.Now()
@@ -718,7 +718,7 @@ func (s *Sender) retransmit() {
 	s.lastRetransBase = s.win.Base
 	s.lastRetrans = now
 	firstTimeout := s.rtoMult <= 2
-	if s.cfg.SelectiveRepeat && firstTimeout {
+	if s.cfg.ARQ == ARQSelective && firstTimeout {
 		if s.win.Outstanding() > 0 {
 			s.lastResent[s.win.Base] = now
 			s.sendData(s.win.Base, true)

@@ -15,7 +15,7 @@ func TestSelectiveRepeatDeliversUnderLoss(t *testing.T) {
 	for _, proto := range reliableProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := baseConfig(proto, 5)
-			cfg.SelectiveRepeat = true
+			cfg.ARQ = ARQSelective
 			ses, err := newSession(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -38,9 +38,9 @@ func TestSelectiveRepeatResendsLessThanGoBackN(t *testing.T) {
 	// One deliberately dropped mid-window data packet: Go-Back-N
 	// resends the whole outstanding window, selective repeat resends
 	// one packet.
-	run := func(selective bool) uint64 {
+	run := func(arq ARQMode) uint64 {
 		cfg := baseConfig(ProtoNAK, 4)
-		cfg.SelectiveRepeat = selective
+		cfg.ARQ = arq
 		cfg.WindowSize = 8
 		cfg.PollInterval = 6
 		ses, err := newSession(cfg)
@@ -60,8 +60,8 @@ func TestSelectiveRepeatResendsLessThanGoBackN(t *testing.T) {
 		}
 		return ses.sender.Stats().Retransmissions
 	}
-	gbn := run(false)
-	sr := run(true)
+	gbn := run(ARQGoBackN)
+	sr := run(ARQSelective)
 	if sr >= gbn {
 		t.Errorf("selective repeat resent %d packets, Go-Back-N %d — expected SR < GBN", sr, gbn)
 	}
@@ -75,7 +75,7 @@ func TestSelectiveRepeatBuffersOutOfOrder(t *testing.T) {
 	// later packets: receivers keep them. Measured as: the receiver's
 	// duplicate count stays low because the sender resends only the gap.
 	cfg := baseConfig(ProtoACK, 3)
-	cfg.SelectiveRepeat = true
+	cfg.ARQ = ARQSelective
 	cfg.WindowSize = 10
 	ses, err := newSession(cfg)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestPacingSpacesTransmissions(t *testing.T) {
 
 func TestVariantsComposeWithSequentialMessages(t *testing.T) {
 	cfg := baseConfig(ProtoNAK, 3)
-	cfg.SelectiveRepeat = true
+	cfg.ARQ = ARQSelective
 	cfg.NakSuppression = true
 	ses, err := newSession(cfg)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestSelectiveRepeatEquivalentWhenErrorFree(t *testing.T) {
 	for _, proto := range reliableProtocols {
 		cfgA := baseConfig(proto, 4)
 		cfgB := cfgA
-		cfgB.SelectiveRepeat = true
+		cfgB.ARQ = ARQSelective
 		sesA, _ := newSession(cfgA)
 		sesB, _ := newSession(cfgB)
 		msg := pattern(25000)
@@ -251,7 +251,7 @@ func TestSelectiveRepeatEquivalentWhenErrorFree(t *testing.T) {
 func TestVariantsSizeSweep(t *testing.T) {
 	for _, size := range []int{0, 1, 999, 5000, 50000} {
 		cfg := baseConfig(ProtoRing, 4)
-		cfg.SelectiveRepeat = true
+		cfg.ARQ = ARQSelective
 		ses, err := newSession(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -313,20 +313,6 @@ func (st *Station) accepts(f *Frame) bool {
 	return false
 }
 
-// Stations returns the attached stations in attachment order (for
-// diagnostics and tests).
-func (b *Bus) Stations() []*Station { return b.stations }
-
-// Active reports whether the station is contending or backing off for
-// its head-of-queue frame.
-func (st *Station) Active() bool { return st.active }
-
-// QueueLen returns the number of frames waiting at the station.
-func (st *Station) QueueLen() int { return len(st.queue) }
-
-// Attempts returns the current transmission attempt count.
-func (st *Station) Attempts() int { return st.attempts }
-
 // TraceAbort, when non-nil, is called on every excessive-collision drop
 // (diagnostics).
 var TraceAbort func(at time.Duration, station Addr, wireBytes int)

@@ -65,10 +65,6 @@ func NewTx(s *sim.Simulator, cfg TxConfig, peer Receiver) *Tx {
 	return &Tx{sim: s, cfg: cfg, peer: peer}
 }
 
-// SetPeer rewires the delivery target; useful when endpoints are created
-// before their links.
-func (t *Tx) SetPeer(peer Receiver) { t.peer = peer }
-
 // Stats returns a copy of the transmitter counters.
 func (t *Tx) Stats() TxStats { return t.stats }
 

@@ -87,9 +87,6 @@ func (p *SwitchPort) Index() int { return p.index }
 // Table-routed unicast still egresses the port.
 func (p *SwitchPort) SetFloodBlock(blocked bool) { p.floodBlocked = blocked }
 
-// FloodBlocked reports whether the port is excluded from flooding.
-func (p *SwitchPort) FloodBlocked() bool { return p.floodBlocked }
-
 // RecvFrame handles a frame fully received on this port.
 func (p *SwitchPort) RecvFrame(f *Frame) {
 	sw := p.sw

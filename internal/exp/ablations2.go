@@ -28,16 +28,16 @@ func runAblationGoBackN(ctx context.Context, o Options) (*Report, error) {
 		size = 100 * KB
 		rates = []float64{0, 0.01}
 	}
-	schemes := []bool{false, true}
+	schemes := []core.ARQMode{core.ARQGoBackN, core.ARQSelective}
 	r := newRunner(ctx, o)
 	jobs := make([][]*job[*cluster.Result], len(rates))
 	for i, rate := range rates {
 		jobs[i] = make([]*job[*cluster.Result], len(schemes))
-		for j, selective := range schemes {
+		for j, arq := range schemes {
 			pcfg := core.Config{
 				Protocol: core.ProtoNAK, NumReceivers: n,
 				PacketSize: 8000, WindowSize: 20, PollInterval: 17,
-				SelectiveRepeat: selective,
+				ARQ: arq,
 			}
 			ccfg := o.clusterConfig(n)
 			ccfg.LossRate = rate
@@ -49,13 +49,13 @@ func runAblationGoBackN(ctx context.Context, o Options) (*Report, error) {
 	gbnRT := &stats.Series{Label: "GBN resends (pkts)"}
 	srRT := &stats.Series{Label: "SR resends (pkts)"}
 	for i, rate := range rates {
-		for j, selective := range schemes {
+		for j, arq := range schemes {
 			res, err := jobs[i][j].wait()
 			if err != nil {
 				return nil, err
 			}
 			x := rate * 100
-			if selective {
+			if arq == core.ARQSelective {
 				srTime.Add(x, secs(res.Elapsed))
 				srRT.Add(x, float64(res.SenderStats.Retransmissions))
 			} else {

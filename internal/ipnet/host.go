@@ -175,12 +175,6 @@ func (h *Host) JoinGroup(g Addr) {
 	h.groups[g] = true
 }
 
-// LeaveGroup unsubscribes from a group.
-func (h *Host) LeaveGroup(g Addr) { delete(h.groups, g) }
-
-// InGroup reports group membership.
-func (h *Host) InGroup(g Addr) bool { return h.groups[g] }
-
 // getTxFrame pops a pooled frame or allocates a new one.
 func (h *Host) getTxFrame() *txFrame {
 	if n := len(h.frameFree) - 1; n >= 0 {

@@ -32,11 +32,7 @@ func (e *liveEnv) Send(to core.NodeID, p *packet.Packet) {
 	p.Src = uint16(e.n.cfg.Rank)
 	e.n.mx.CountSend(p.Type)
 	e.n.trace(trace.Send, int(to), p)
-	if e.n.codec != nil {
-		e.n.tr.WriteTo(e.n.codec.EncodeUnicast(p), addr)
-		return
-	}
-	e.n.tr.WriteTo(p.Encode(), addr)
+	e.n.tr.WriteTo(e.n.codec.EncodeUnicast(p), addr)
 }
 
 func (e *liveEnv) Multicast(p *packet.Packet) {
@@ -46,11 +42,7 @@ func (e *liveEnv) Multicast(p *packet.Packet) {
 	p.Src = uint16(e.n.cfg.Rank)
 	e.n.mx.CountSend(p.Type)
 	e.n.trace(trace.SendMC, trace.Multicast, p)
-	if e.n.codec != nil {
-		e.n.codec.Multicast(p)
-		return
-	}
-	e.n.tr.WriteTo(p.Encode(), e.n.group)
+	e.n.codec.Multicast(p)
 }
 
 func (e *liveEnv) SetTimer(d time.Duration, fn func()) core.TimerID {

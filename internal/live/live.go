@@ -98,9 +98,9 @@ type Node struct {
 	// atomic, so Metrics() snapshots are safe from any goroutine.
 	mx *metrics.Session
 
-	// codec frames this node's traffic in wire format v2
-	// (Protocol.WireV2); nil keeps the v1 wire format. Owned by the
-	// event loop, like the endpoints that feed it.
+	// codec frames this node's traffic in the session's wire format
+	// (Protocol.WireV2). Owned by the event loop, like the endpoints
+	// that feed it.
 	codec *wire.Codec
 
 	// Everything below is owned by the event loop — the runLoop
@@ -142,6 +142,11 @@ func newNode(cfg Config, group *net.UDPAddr, clk nodeClock, driven *LoopNet) (*N
 	if cfg.Rank < 0 || int(cfg.Rank) > cfg.Protocol.NumReceivers {
 		return nil, fmt.Errorf("live: rank %d out of range [0,%d]", cfg.Rank, cfg.Protocol.NumReceivers)
 	}
+	// Refuse a bad protocol configuration now, on every rank: the
+	// sender's state machine is only built at its first Send.
+	if _, err := cfg.Protocol.Normalize(); err != nil {
+		return nil, err
+	}
 	if cfg.HelloInterval == 0 {
 		cfg.HelloInterval = 200 * time.Millisecond
 	}
@@ -164,17 +169,11 @@ func newNode(cfg Config, group *net.UDPAddr, clk nodeClock, driven *LoopNet) (*N
 		timers:   make(map[core.TimerID]canceler),
 		recvQ:    make(chan []byte, 16),
 	}
-	if cfg.Protocol.WireV2 {
-		npc, err := cfg.Protocol.Normalize()
-		if err != nil {
-			return nil, err
-		}
-		// The send closure reads n.tr at flush time: the transport is
-		// attached after newNode returns but before any packet moves.
-		n.codec = wire.NewCodec(npc.CompressThreshold, npc.CoalesceMTU, n.mx,
-			func() { n.post(func() { n.codec.FlushBatch() }) },
-			func(frame []byte) { n.tr.WriteTo(frame, n.group) })
-	}
+	// The send closure reads n.tr at send time: the transport is
+	// attached after newNode returns but before any packet moves.
+	n.codec = wire.New(cfg.Protocol, false, n.mx,
+		func() { n.post(n.codec.FlushBatch) },
+		func(frame []byte) { n.tr.WriteTo(frame, n.group) })
 	if cfg.Rank != core.SenderID {
 		rcv, err := core.NewReceiver(n.env(), cfg.Protocol, cfg.Rank, n.onDeliver)
 		if err != nil {
@@ -355,19 +354,10 @@ func (n *Node) trace(dir trace.Dir, peer int, p *packet.Packet) {
 
 // onWire decodes and dispatches one received datagram (event loop).
 func (n *Node) onWire(frame []byte, src *net.UDPAddr) {
-	if n.codec != nil {
-		// Strict v2: every peer of a v2 session seals every frame, so a
-		// frame failing any decode guard was damaged in flight (or is
-		// stray traffic); the codec counts it and it is dropped whole —
-		// no inner packet of a corrupt carrier reaches the endpoint.
-		_ = n.codec.Decode(frame, func(p *packet.Packet) { n.onPacket(p, src) })
-		return
-	}
-	p, err := packet.Decode(frame)
-	if err != nil {
-		return // stray traffic on the port
-	}
-	n.onPacket(p, src)
+	// A frame failing any decode guard was damaged in flight or is
+	// stray traffic on the port; the codec counts it and it is dropped
+	// whole — no inner packet of a corrupt carrier reaches the endpoint.
+	_ = n.codec.Decode(frame, func(p *packet.Packet) { n.onPacket(p, src) })
 }
 
 // onPacket dispatches one decoded logical packet (event loop). A v2
@@ -482,11 +472,7 @@ func (n *Node) sendHello(wantReply bool) {
 	p := &packet.Packet{Type: packet.TypeHello, Src: uint16(n.cfg.Rank), Aux: aux}
 	n.mx.CountSend(p.Type)
 	n.trace(trace.SendMC, trace.Multicast, p)
-	if n.codec != nil {
-		n.codec.Multicast(p)
-		return
-	}
-	n.tr.WriteTo(p.Encode(), n.group)
+	n.codec.Multicast(p)
 }
 
 // WaitReady blocks until this node knows the unicast address of `peers`

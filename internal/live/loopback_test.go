@@ -287,3 +287,62 @@ func TestLiveCloseLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestLoopbackGarbageCountsCorrupt: stray and truncated datagrams at a
+// node are counted as corrupt frames and reach no endpoint, under
+// either wire format — the simulator's rule, which a v1 live node used
+// to break by dropping them silently.
+func TestLoopbackGarbageCountsCorrupt(t *testing.T) {
+	for _, v2 := range []bool{false, true} {
+		ln := NewLoopNet(LoopConfig{Seed: 7})
+		pcfg := core.Config{Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: 1400, WindowSize: 4, WireV2: v2}
+		delivered := 0
+		var nodes []*Node
+		for r := 0; r <= 1; r++ {
+			n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg, HelloInterval: 10 * time.Millisecond,
+				OnDeliver: func(time.Duration, []byte) { delivered++ }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		ln.Run(time.Millisecond) // discovery
+		rcv := nodes[1]
+		before := rcv.Metrics()
+		garbage := [][]byte{{}, []byte("not a frame at all"), {0xA7, 1, 0xFF}, {0xA7, 2, 3, 0, 0, 0}}
+		ln.At(2*time.Millisecond, func() {
+			for _, g := range garbage {
+				rcv.deliverWire(g, nodes[0].LocalAddr())
+			}
+		})
+		ln.Run(3 * time.Millisecond)
+		after := rcv.Metrics()
+		if got := after.CorruptFrames - before.CorruptFrames; got != uint64(len(garbage)) {
+			t.Errorf("WireV2=%v: corrupt_frames rose by %d, want %d", v2, got, len(garbage))
+		}
+		if after.TotalReceived() != before.TotalReceived() || delivered != 0 {
+			t.Errorf("WireV2=%v: garbage reached the endpoint: %d packets received, %d deliveries",
+				v2, after.TotalReceived()-before.TotalReceived(), delivered)
+		}
+		for _, n := range nodes {
+			n.Close()
+		}
+	}
+}
+
+// TestLoopbackNodeRefusesBadConfig: an invalid protocol configuration
+// is refused when the node is built, on the sender rank too and under
+// either wire format, not at the first Send after discovery.
+func TestLoopbackNodeRefusesBadConfig(t *testing.T) {
+	for name, pcfg := range map[string]core.Config{
+		"v1 zero window":     {Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: 1400},
+		"v2 oversize":        {Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: core.MaxPacketSize, WindowSize: 4, WireV2: true},
+		"v2 MTU below floor": {Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: 1400, WindowSize: 4, WireV2: true, CoalesceMTU: 10},
+	} {
+		for r := 0; r <= 1; r++ {
+			if _, err := NewLoopNet(LoopConfig{}).Node(Config{Rank: core.NodeID(r), Protocol: pcfg}); err == nil {
+				t.Errorf("%s: rank %d built a node", name, r)
+			}
+		}
+	}
+}

@@ -139,9 +139,10 @@ func (s *Session) CountEjection() {
 
 // CountWireFrame records one frame leaving a node: its on-wire size,
 // its raw (uncompressed v2-framed) size, the number of logical packets
-// it carries, and whether its payload shipped compressed. The v1 path
-// never calls it, so every wire counter stays zero (and out of the
-// serialized snapshot) unless a session opts into wire accounting.
+// it carries, and whether its payload shipped compressed. A v1 codec
+// calls it only when the session opted into wire accounting, so every
+// wire counter otherwise stays zero (and out of the serialized
+// snapshot).
 func (s *Session) CountWireFrame(wireLen, rawLen, inner int, compressed bool) {
 	if s == nil {
 		return
@@ -158,9 +159,10 @@ func (s *Session) CountWireFrame(wireLen, rawLen, inner int, compressed bool) {
 	}
 }
 
-// CountCorruptFrame records one arriving frame rejected by the v2
-// decoder (CRC mismatch, malformed carrier or compression) and dropped
-// before delivery.
+// CountCorruptFrame records one arriving frame the session's decoder
+// rejected (v1: truncated, bad magic, version or type; v2 also CRC
+// mismatch, malformed carrier or compression) and dropped before
+// delivery.
 func (s *Session) CountCorruptFrame() {
 	if s != nil {
 		s.corruptFrames.Inc()

@@ -60,41 +60,26 @@ func (b *Batcher) Add(p *Packet) {
 	b.count++
 }
 
-// Flush emits the queued packets: a single packet re-wraps as a plain
-// v2 frame (no carrier overhead), two or more leave as one carrier.
+// Flush emits the queued packets: a single packet leaves as a plain
+// v2 frame (no carrier overhead), two or more as one carrier.
 func (b *Batcher) Flush() {
-	switch b.count {
-	case 0:
+	if b.count == 0 {
 		return
-	case 1:
-		p, err := Decode(b.pending[2:])
-		if err == nil { // cannot fail: we encoded it
-			frame, raw := EncodeV2(p, b.MinCompress)
-			b.Emit(frame, 1, raw)
-		}
-	default:
-		// The outer header echoes the first inner packet, with Aux
-		// carrying the inner count for observability; decoders ignore
-		// it and trust only the inner encodings.
-		l := int(binary.BigEndian.Uint16(b.pending[:2]))
-		first, err := Decode(b.pending[2 : 2+l])
-		if err != nil {
-			break // cannot fail: we encoded it
-		}
-		outer := Packet{
-			Type: first.Type, MsgID: first.MsgID, Seq: first.Seq,
-			Aux: uint32(b.count), Src: first.Src,
-		}
-		rawLen := HeaderLenV2 + len(b.pending) + TrailerLen
-		payload := b.pending
-		wf := WireCarrier
-		if b.MinCompress > 0 && len(payload) >= b.MinCompress {
-			if c := deflate(payload); len(c) < len(payload) {
-				payload = c
-				wf |= WireCompressed
-			}
-		}
-		b.Emit(sealV2(&outer, wf, payload), b.count, rawLen)
+	}
+	first := b.pending[2:] // the first inner packet's v1 encoding
+	if b.count == 1 {
+		payload := first[HeaderLen:]
+		b.Emit(sealV2(first, 0, payload, b.MinCompress), 1, HeaderLenV2+len(payload)+TrailerLen)
+	} else {
+		// The outer header echoes the first inner packet, with Flags
+		// cleared and Aux carrying the inner count for observability;
+		// decoders ignore it and trust only the inner encodings.
+		var outer [HeaderLen]byte
+		copy(outer[:], first)
+		outer[3] = 0
+		binary.BigEndian.PutUint32(outer[12:16], uint32(b.count))
+		b.Emit(sealV2(outer[:], WireCarrier, b.pending, b.MinCompress), b.count,
+			HeaderLenV2+len(b.pending)+TrailerLen)
 	}
 	b.pending = b.pending[:0]
 	b.count = 0

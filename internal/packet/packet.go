@@ -156,6 +156,13 @@ func (p *Packet) EncodeTo(b []byte) int {
 	if len(b) < p.WireLen() {
 		panic("packet: EncodeTo buffer too small")
 	}
+	p.putHeader(b)
+	copy(b[HeaderLen:], p.Payload)
+	return p.WireLen()
+}
+
+// putHeader writes the fixed v1 header into b[:HeaderLen].
+func (p *Packet) putHeader(b []byte) {
 	b[0] = Magic
 	b[1] = Version
 	b[2] = byte(p.Type)
@@ -164,8 +171,6 @@ func (p *Packet) EncodeTo(b []byte) int {
 	binary.BigEndian.PutUint32(b[8:12], p.Seq)
 	binary.BigEndian.PutUint32(b[12:16], p.Aux)
 	binary.BigEndian.PutUint16(b[16:18], p.Src)
-	copy(b[HeaderLen:], p.Payload)
-	return p.WireLen()
 }
 
 // Decoding errors.
@@ -183,10 +188,10 @@ var (
 // Transports that recycle receive buffers (the simulator's pooled
 // frames, a future recvmmsg ring) may overwrite b the moment the
 // packet handler returns, so a handler that retains payload bytes
-// beyond its own invocation MUST copy them first (Clone does, as does
-// DecodeCopy). Every endpoint in internal/core honors this: payloads
-// are copied into the preallocated message buffer (Receiver.store) or
-// read to completion (membership views) before the handler returns.
+// beyond its own invocation MUST copy them first (Clone does). Every
+// endpoint in internal/core honors this: payloads are copied into the
+// preallocated message buffer (Receiver.store) or read to completion
+// (membership views) before the handler returns.
 func Decode(b []byte) (*Packet, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrTruncated
@@ -212,18 +217,6 @@ func Decode(b []byte) (*Packet, error) {
 		p.Payload = b[HeaderLen:]
 	}
 	return p, nil
-}
-
-// DecodeCopy parses an encoded v1 packet into storage of its own: the
-// returned packet's Payload shares nothing with b, so it may be
-// retained after the caller releases b. The copy costs an allocation;
-// the hot paths use Decode's borrow and copy selectively instead.
-func DecodeCopy(b []byte) (*Packet, error) {
-	p, err := Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	return p.Clone(), nil
 }
 
 func (p *Packet) String() string {

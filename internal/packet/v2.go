@@ -38,6 +38,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Version2 marks a checksummed v2 frame.
@@ -57,6 +58,10 @@ const (
 	// DefaultCoalesceMTU is the default carrier-frame budget: an
 	// Ethernet payload minus the IP and UDP headers.
 	DefaultCoalesceMTU = 1500 - 20 - 8
+	// MinCoalesceMTU is the smallest carrier budget there is — one
+	// inner packet with an empty payload — and at it no packet that
+	// carries data coalesces.
+	MinCoalesceMTU = HeaderLenV2 + 2 + HeaderLen + TrailerLen
 	// maxInflate bounds decompression output (the UDP maximum): any
 	// frame claiming more is corrupt or hostile, not ours.
 	maxInflate = 65507
@@ -90,62 +95,48 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeV2 serializes p as a v2 frame, compressing the payload when it
 // is at least minCompress bytes and flate actually shrinks it
-// (minCompress <= 0 disables compression). It returns the frame and
-// its uncompressed wire length — equal to len(frame) when compression
-// did not apply, so callers can account savings without re-deriving
-// them.
+// (minCompress <= 0 disables compression). It returns the frame —
+// freshly allocated and owned by the caller — and its uncompressed wire
+// length, equal to len(frame) when compression did not apply, so
+// callers can account savings without re-deriving them.
 func EncodeV2(p *Packet, minCompress int) (frame []byte, rawLen int) {
-	rawLen = HeaderLenV2 + len(p.Payload) + TrailerLen
-	payload := p.Payload
-	var wf WireFlags
+	var hdr [HeaderLen]byte
+	p.putHeader(hdr[:])
+	return sealV2(hdr[:], 0, p.Payload, minCompress), HeaderLenV2 + len(p.Payload) + TrailerLen
+}
+
+// sealV2 assembles a fresh v2 frame from a v1 header (its version byte
+// is overwritten) and a payload, and is the one place the
+// compress-if-it-shrinks rule lives: plain frames and carriers alike
+// deflate a payload of at least minCompress bytes and keep the result
+// only when it is smaller.
+func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 	if minCompress > 0 && len(payload) >= minCompress {
-		if c := deflate(payload); len(c) < len(payload) {
+		st := flatePool.Get().(*flateState)
+		defer flatePool.Put(st) // after the copy below: c aliases st's scratch
+		if c := st.deflate(payload); len(c) < len(payload) {
 			payload = c
 			wf |= WireCompressed
 		}
 	}
-	return sealV2(p, wf, payload), rawLen
-}
-
-// sealV2 assembles a v2 frame around an already-prepared payload.
-func sealV2(p *Packet, wf WireFlags, payload []byte) []byte {
 	n := HeaderLenV2 + len(payload) + TrailerLen
 	b := make([]byte, n)
-	b[0] = Magic
+	copy(b, hdr[:HeaderLen])
 	b[1] = Version2
-	b[2] = byte(p.Type)
-	b[3] = byte(p.Flags)
-	binary.BigEndian.PutUint32(b[4:8], p.MsgID)
-	binary.BigEndian.PutUint32(b[8:12], p.Seq)
-	binary.BigEndian.PutUint32(b[12:16], p.Aux)
-	binary.BigEndian.PutUint16(b[16:18], p.Src)
-	b[18] = byte(wf)
+	b[HeaderLenV2-1] = byte(wf)
 	copy(b[HeaderLenV2:], payload)
 	binary.BigEndian.PutUint32(b[n-TrailerLen:], crc32.Checksum(b[:n-TrailerLen], castagnoli))
 	return b
 }
 
-// DecodeFrame parses one wire frame of either version and calls emit
-// for each logical packet it carries: once for a plain frame, once per
-// inner packet for a carrier. Emitted packets and their payloads are
-// borrows — valid only during the emit call, possibly aliasing b or a
-// transient decompression buffer — so handlers that retain data must
-// copy it (see Clone). Returns without calling emit on any error.
-func DecodeFrame(b []byte, emit func(*Packet)) error {
-	if len(b) >= 2 && b[0] == Magic && b[1] == Version2 {
-		return decodeV2(b, emit)
-	}
-	p, err := Decode(b)
-	if err != nil {
-		return err
-	}
-	emit(p)
-	return nil
-}
-
 // DecodeFrameV2 is the strict decoder for v2 sessions: it accepts only
 // v2 frames, so a corrupted version byte cannot demote a frame to the
-// checksum-less v1 path. Emit semantics match DecodeFrame.
+// checksum-less v1 path. It calls emit for each logical packet the
+// frame carries: once for a plain frame, once per inner packet for a
+// carrier. Emitted packets and their payloads are borrows — valid only
+// during the emit call, aliasing b or pooled decompression scratch — so
+// handlers that retain data must copy it (see Clone). Returns without
+// calling emit on any error.
 func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	if len(b) < HeaderLenV2+TrailerLen {
 		return ErrTruncated
@@ -155,13 +146,6 @@ func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	}
 	if b[1] != Version2 {
 		return ErrBadVersion
-	}
-	return decodeV2(b, emit)
-}
-
-func decodeV2(b []byte, emit func(*Packet)) error {
-	if len(b) < HeaderLenV2+TrailerLen {
-		return ErrTruncated
 	}
 	body := b[:len(b)-TrailerLen]
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(b[len(b)-TrailerLen:]) {
@@ -178,14 +162,16 @@ func decodeV2(b []byte, emit func(*Packet)) error {
 	if !p.Type.Valid() {
 		return ErrBadType
 	}
-	wf := WireFlags(b[18])
+	wf := WireFlags(b[HeaderLenV2-1])
 	if wf&^wireFlagsKnown != 0 {
 		return ErrBadWireFlags
 	}
 	payload := body[HeaderLenV2:]
 	if wf&WireCompressed != 0 {
+		st := flatePool.Get().(*flateState)
+		defer flatePool.Put(st) // after emit: the payload aliases st's scratch
 		var err error
-		if payload, err = inflate(payload); err != nil {
+		if payload, err = st.inflate(payload); err != nil {
 			return err
 		}
 	}
@@ -231,7 +217,7 @@ func decodeCarrier(payload []byte, emit func(*Packet)) error {
 
 // Clone returns a deep copy of p: the copy's Payload shares no storage
 // with the original, so it outlives the decode buffer. This is how a
-// handler retains a packet emitted by DecodeFrame (or returned by
+// handler retains a packet emitted by DecodeFrameV2 (or returned by
 // Decode) past its borrow window.
 func (p *Packet) Clone() *Packet {
 	q := *p
@@ -241,48 +227,54 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-func deflate(src []byte) []byte {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return src // cannot happen with a valid level; fail open to raw
-	}
-	if _, err := w.Write(src); err != nil {
-		return src
-	}
-	if err := w.Close(); err != nil {
-		return src
-	}
-	return buf.Bytes()
+// flateState is the reusable compression state one frame borrows: a
+// flate writer and reader, each reset per frame instead of rebuilt (a
+// fresh flate.Writer alone allocates several hundred KiB), and the
+// scratch buffer their output lands in. Frames never alias the scratch
+// — sealV2 copies out of it — and decoded payloads alias it only for
+// the duration of emit, which is the documented borrow. A handler that
+// encodes or decodes from inside emit simply draws a second state.
+type flateState struct {
+	w   *flate.Writer
+	r   io.ReadCloser // a flate.Resetter
+	src bytes.Reader
+	lim io.LimitedReader
+	buf bytes.Buffer
 }
 
-func inflate(src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	var buf bytes.Buffer
-	n, err := io.Copy(&buf, io.LimitReader(r, maxInflate+1))
-	if err != nil {
-		return nil, ErrBadCompression
+var flatePool = sync.Pool{New: func() any {
+	st := new(flateState)
+	st.w, _ = flate.NewWriter(&st.buf, flate.BestSpeed) // errs only on an invalid level
+	st.r = flate.NewReader(&st.src)
+	return st
+}}
+
+// deflate compresses src into st's scratch. Writer.Reset is specified
+// as equivalent to NewWriter, so the bytes match a fresh writer's.
+func (st *flateState) deflate(src []byte) []byte {
+	st.buf.Reset()
+	st.w.Reset(&st.buf)
+	if _, err := st.w.Write(src); err != nil {
+		return src // a bytes.Buffer write cannot fail; fail open to raw
 	}
-	if n > maxInflate {
-		return nil, ErrBadCompression
+	if err := st.w.Close(); err != nil {
+		return src
 	}
-	return buf.Bytes(), nil
+	return st.buf.Bytes()
 }
 
-// IsCorrupt reports whether a decode error indicates a damaged frame
-// (as opposed to a frame this code never speaks). Under a strict v2
-// session every frame on the wire was sealed by a peer, so any decode
-// failure is corruption; callers use this to decide what to count.
-func IsCorrupt(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrBadCRC),
-		errors.Is(err, ErrBadWireFlags),
-		errors.Is(err, ErrBadCarrier),
-		errors.Is(err, ErrBadCompression):
-		return true
+// inflate decompresses src into st's scratch, refusing output beyond
+// maxInflate.
+func (st *flateState) inflate(src []byte) ([]byte, error) {
+	st.buf.Reset()
+	st.src.Reset(src)
+	if err := st.r.(flate.Resetter).Reset(&st.src, nil); err != nil {
+		return nil, ErrBadCompression
 	}
-	return false
+	st.lim = io.LimitedReader{R: st.r, N: maxInflate + 1}
+	n, err := st.buf.ReadFrom(&st.lim)
+	if err != nil || n > maxInflate {
+		return nil, ErrBadCompression
+	}
+	return st.buf.Bytes(), nil
 }

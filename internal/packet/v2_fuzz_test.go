@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes through both frame decoders,
-// asserting neither ever panics and every accepted frame emits only
+// FuzzDecodeFrame feeds arbitrary bytes through both frame decoders —
+// the strict v2 DecodeFrameV2 and the v1 Decode — asserting neither
+// ever panics and every accepted frame emits only
 // valid, re-encodable packets. The seed corpus covers each v2 frame
 // shape (plain, compressed, carrier, compressed carrier), v1 frames,
 // and each rejection class (truncations, corrupted trailers, flipped
@@ -32,29 +33,37 @@ func FuzzDecodeFrame(f *testing.F) {
 		b.Flush()
 		f.Add(frame)
 	}
-	// A v1 frame (accepted by DecodeFrame, rejected by DecodeFrameV2).
+	// A v1 frame (accepted by Decode, rejected by DecodeFrameV2).
 	f.Add((&Packet{Type: TypeAck, Seq: 7}).Encode())
 	// Rejection classes.
-	f.Add(plain[:HeaderLenV2])                   // truncated before trailer
-	f.Add(plain[:len(plain)-1])                  // truncated trailer
-	corrupt := append([]byte(nil), plain...)     // corrupted payload byte
+	f.Add(plain[:HeaderLenV2])               // truncated before trailer
+	f.Add(plain[:len(plain)-1])              // truncated trailer
+	corrupt := append([]byte(nil), plain...) // corrupted payload byte
 	corrupt[HeaderLenV2] ^= 0x40
 	f.Add(corrupt)
-	demoted := append([]byte(nil), plain...)     // version byte flipped to 1
+	demoted := append([]byte(nil), plain...) // version byte flipped to 1
 	demoted[1] = Version
 	f.Add(demoted)
-	badwf := append([]byte(nil), plain...)       // unknown wire flag
+	badwf := append([]byte(nil), plain...) // unknown wire flag
 	badwf[18] = 0x80
 	f.Add(badwf)
 	// Carrier with a valid CRC but garbage payload structure.
-	f.Add(sealV2(&Packet{Type: TypeData}, WireCarrier, []byte{0xFF, 0xFF, 0x00}))
+	hdr := (&Packet{Type: TypeData}).Encode()
+	f.Add(sealV2(hdr, WireCarrier, []byte{0xFF, 0xFF, 0x00}, 0))
 	// Compressed flag over raw bytes (flate garbage).
-	f.Add(sealV2(&Packet{Type: TypeData}, WireCompressed, []byte("not flate data")))
+	f.Add(sealV2(hdr, WireCompressed, []byte("not flate data"), 0))
 	f.Add([]byte{})
 	f.Add([]byte{Magic, Version2})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, decode := range []func([]byte, func(*Packet)) error{DecodeFrame, DecodeFrameV2} {
+		decodeV1 := func(b []byte, emit func(*Packet)) error {
+			p, err := Decode(b)
+			if err == nil {
+				emit(p)
+			}
+			return err
+		}
+		for _, decode := range []func([]byte, func(*Packet)) error{decodeV1, DecodeFrameV2} {
 			var emitted []*Packet
 			err := decode(b, func(p *Packet) { emitted = append(emitted, p.Clone()) })
 			if err != nil {

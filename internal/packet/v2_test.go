@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -274,21 +275,11 @@ func TestV2TruncationsRejected(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameSpeaksBothVersions: the lenient decoder accepts v1
-// and v2 frames alike; the strict decoder rejects v1.
-func TestDecodeFrameSpeaksBothVersions(t *testing.T) {
+// TestV2StrictDecoderRejectsV1: a v2 session never falls back to the
+// checksum-less v1 path, so a version byte flipped in flight cannot
+// demote a frame.
+func TestV2StrictDecoderRejectsV1(t *testing.T) {
 	p := &Packet{Type: TypeAck, MsgID: 1, Seq: 17, Payload: []byte("v1 payload")}
-	var got []*Packet
-	if err := DecodeFrame(p.Encode(), func(q *Packet) { got = append(got, q.Clone()) }); err != nil {
-		t.Fatalf("lenient decode of v1: %v", err)
-	}
-	f, _ := EncodeV2(p, 0)
-	if err := DecodeFrame(f, func(q *Packet) { got = append(got, q.Clone()) }); err != nil {
-		t.Fatalf("lenient decode of v2: %v", err)
-	}
-	if len(got) != 2 || !samePacket(got[0], p) || !samePacket(got[1], p) {
-		t.Fatalf("got %+v", got)
-	}
 	if err := DecodeFrameV2(p.Encode(), func(*Packet) {
 		t.Fatal("strict decoder emitted a v1 packet")
 	}); err != ErrBadVersion {
@@ -297,8 +288,7 @@ func TestDecodeFrameSpeaksBothVersions(t *testing.T) {
 }
 
 // TestDecodePayloadAliasesInput pins the documented borrow contract:
-// Decode's payload aliases the input buffer, DecodeCopy's and Clone's
-// do not. A transport recycling its receive buffer relies on exactly
+// Decode's payload aliases the input buffer, Clone's does not. A transport recycling its receive buffer relies on exactly
 // this distinction.
 func TestDecodePayloadAliasesInput(t *testing.T) {
 	buf := (&Packet{Type: TypeData, Seq: 1, Aux: 0, Payload: []byte("original")}).Encode()
@@ -307,10 +297,6 @@ func TestDecodePayloadAliasesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	owned := borrowed.Clone()
-	copied, err := DecodeCopy(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The transport recycles the buffer for the next datagram.
 	for i := range buf {
 		buf[i] = 0xAA
@@ -321,17 +307,15 @@ func TestDecodePayloadAliasesInput(t *testing.T) {
 	if string(owned.Payload) != "original" {
 		t.Fatal("Clone did not detach the payload from the decode buffer")
 	}
-	if string(copied.Payload) != "original" {
-		t.Fatal("DecodeCopy did not detach the payload from the decode buffer")
-	}
 }
 
 // TestV2DecompressionBombRejected: a forged frame whose compressed
 // payload inflates past the UDP maximum is dropped, not allocated.
 func TestV2DecompressionBombRejected(t *testing.T) {
 	huge := make([]byte, maxInflate+4096)
-	p := &Packet{Type: TypeData, Seq: 1}
-	frame := sealV2(p, WireCompressed, deflate(huge))
+	st := new(flateState)
+	st.w, _ = flate.NewWriter(&st.buf, flate.BestSpeed)
+	frame := sealV2((&Packet{Type: TypeData, Seq: 1}).Encode(), WireCompressed, st.deflate(huge), 0)
 	if err := DecodeFrameV2(frame, func(*Packet) {
 		t.Fatal("bomb emitted a packet")
 	}); err != ErrBadCompression {
@@ -343,7 +327,7 @@ func TestV2DecompressionBombRejected(t *testing.T) {
 // length prefix, truncated inner, trailing garbage, nested v2 inner)
 // are rejected whole even when the CRC is valid.
 func TestV2BadCarrierShapes(t *testing.T) {
-	outer := &Packet{Type: TypeData}
+	outer := (&Packet{Type: TypeData}).Encode()
 	inner := (&Packet{Type: TypeData, Seq: 1, Payload: []byte("x")}).Encode()
 	lp := func(enc []byte) []byte {
 		b := binary.BigEndian.AppendUint16(nil, uint16(len(enc)))
@@ -359,24 +343,11 @@ func TestV2BadCarrierShapes(t *testing.T) {
 		"nested-v2":       lp(v2inner),
 	}
 	for name, payload := range cases {
-		frame := sealV2(outer, WireCarrier, payload)
+		frame := sealV2(outer, WireCarrier, payload, 0)
 		if err := DecodeFrameV2(frame, func(*Packet) {
 			t.Fatalf("%s: emitted a packet", name)
 		}); err != ErrBadCarrier {
 			t.Fatalf("%s: err = %v, want ErrBadCarrier", name, err)
-		}
-	}
-}
-
-func TestIsCorrupt(t *testing.T) {
-	for _, err := range []error{ErrBadCRC, ErrBadWireFlags, ErrBadCarrier, ErrBadCompression} {
-		if !IsCorrupt(err) {
-			t.Fatalf("IsCorrupt(%v) = false", err)
-		}
-	}
-	for _, err := range []error{nil, ErrTruncated, ErrBadMagic, ErrBadVersion, ErrBadType} {
-		if IsCorrupt(err) {
-			t.Fatalf("IsCorrupt(%v) = true", err)
 		}
 	}
 }

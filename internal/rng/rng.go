@@ -34,11 +34,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a pseudo-random integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -108,9 +108,6 @@ func (g *Group) Len() int { return len(g.shards) }
 // Shard returns shard i.
 func (g *Group) Shard(i int) *Shard { return g.shards[i] }
 
-// Lookahead returns the group's lookahead.
-func (g *Group) Lookahead() Time { return g.lookahead }
-
 // RunConfig configures one sharded run.
 type RunConfig struct {
 	// Primary is the shard holding the completion condition. It executes

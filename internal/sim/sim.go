@@ -304,11 +304,6 @@ func (s *Simulator) RunUntil(deadline Time) bool {
 	}
 }
 
-// RunFor is RunUntil(Now()+d).
-func (s *Simulator) RunFor(d time.Duration) bool {
-	return s.RunUntil(s.now + d)
-}
-
 // push appends e and restores the heap property.
 func (s *Simulator) push(e entry) {
 	s.queue = append(s.queue, e)

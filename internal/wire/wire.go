@@ -1,47 +1,80 @@
-// Package wire adapts the v2 frame codec (internal/packet) to a
-// transport endpoint: one Codec per node owns the small-message
-// batcher, the strict decoder, and the wire-level metrics accounting,
-// so the simulated and live transports share one implementation of
-// coalescing, compression, and corrupt-frame handling.
+// Package wire frames a transport endpoint's traffic: one Codec per
+// node owns the choice between wire format v1 and v2 and everything
+// that follows from it — the small-message batcher, the strict decoder,
+// and the wire-level metrics accounting — so the simulated and live
+// transports call Multicast / EncodeUnicast / Decode and never learn
+// which format is on the wire.
 //
 // internal/packet cannot count into internal/metrics (metrics depends
 // on packet for its per-type counters); this package sits above both.
 package wire
 
 import (
+	"rmcast/internal/core"
 	"rmcast/internal/metrics"
 	"rmcast/internal/packet"
 )
 
-// Codec frames one node's traffic in wire format v2.
+// Codec frames one node's traffic in wire format v1 or v2.
 //
-// Multicast data packets that fit the carrier budget are queued in the
-// batcher; Arm is invoked on the empty→nonempty transition and must
-// schedule FlushBatch to run after the transport finishes its current
-// event (a zero-delay timer in the simulator, a posted closure on the
-// live event loop), so every data packet a protocol action produces
-// back to back shares carrier frames. Anything else — unicast sends,
-// control multicasts, oversized data — first flushes the queue, keeping
-// frame order consistent with protocol send order.
+// Under v1 every packet is its own frame, sent at once, and the flush
+// methods have nothing to do. Under v2, multicast data packets that fit
+// the carrier budget are queued in the batcher; Arm is invoked on the
+// empty→nonempty transition and must schedule FlushBatch to run after
+// the transport finishes its current event (a zero-delay timer in the
+// simulator, a posted closure on the live event loop), so every data
+// packet a protocol action produces back to back shares carrier frames.
+// Anything else — unicast sends, control multicasts, oversized data —
+// first flushes the queue, keeping frame order consistent with protocol
+// send order.
 //
 // Codec is not concurrency-safe; confine it to the transport's event
 // loop, as both transports confine their sockets.
 type Codec struct {
-	mx    *metrics.Session
-	arm   func()
-	send  func(frame []byte)
-	batch packet.Batcher
-	armed bool
+	mx   *metrics.Session
+	arm  func()
+	send func(frame []byte)
+	// v1 selects the v1 format; countV1 makes its frames count into mx
+	// (v2 frames always do).
+	v1, countV1 bool
+	batch       packet.Batcher
+	armed       bool
 }
 
-// NewCodec builds a codec. minCompress and mtu follow Batcher semantics
-// (<=0 disables compression; 0 MTU means packet.DefaultCoalesceMTU).
-// arm schedules a future FlushBatch call; send transmits one finished
-// multicast frame. mx may be nil (accounting becomes a no-op).
+// New builds the codec for a session configured by cfg: v2 when
+// cfg.WireV2 (resolving the compression threshold and carrier MTU
+// defaults; core.Config.Normalize validates them), v1 otherwise, whose
+// frames count into mx only when countWire is set. arm, send and mx are
+// as for NewCodec.
+func New(cfg core.Config, countWire bool, mx *metrics.Session, arm func(), send func(frame []byte)) *Codec {
+	if !cfg.WireV2 {
+		return &Codec{mx: mx, send: send, v1: true, countV1: countWire}
+	}
+	minCompress := cfg.CompressThreshold
+	if minCompress == 0 {
+		minCompress = packet.DefaultCompressThreshold
+	}
+	return NewCodec(minCompress, cfg.CoalesceMTU, mx, arm, send)
+}
+
+// NewCodec builds a v2 codec. minCompress and mtu follow Batcher
+// semantics (<=0 disables compression; 0 MTU means
+// packet.DefaultCoalesceMTU). arm schedules a future FlushBatch call;
+// send transmits one finished multicast frame. mx may be nil
+// (accounting becomes a no-op).
 func NewCodec(minCompress, mtu int, mx *metrics.Session, arm func(), send func(frame []byte)) *Codec {
 	c := &Codec{mx: mx, arm: arm, send: send}
 	c.batch = packet.Batcher{MTU: mtu, MinCompress: minCompress, Emit: c.emit}
 	return c
+}
+
+// encodeV1 frames p in wire format v1.
+func (c *Codec) encodeV1(p *packet.Packet) []byte {
+	frame := p.Encode()
+	if c.countV1 {
+		c.mx.CountWireFrame(len(frame), len(frame), 1, false)
+	}
+	return frame
 }
 
 func (c *Codec) emit(frame []byte, inner, rawLen int) {
@@ -54,9 +87,14 @@ func (c *Codec) account(frame []byte, inner, rawLen int) {
 	c.mx.CountWireFrame(len(frame), rawLen, inner, compressed)
 }
 
-// Multicast frames p for the group: coalescible data packets queue for
-// the next flush, everything else flushes the queue and goes out now.
+// Multicast frames p for the group: coalescible v2 data packets queue
+// for the next flush, everything else flushes the queue and goes out
+// now.
 func (c *Codec) Multicast(p *packet.Packet) {
+	if c.v1 {
+		c.send(c.encodeV1(p))
+		return
+	}
 	if p.Type == packet.TypeData && c.batch.Fits(p) {
 		c.batch.Add(p)
 		if !c.armed {
@@ -65,7 +103,10 @@ func (c *Codec) Multicast(p *packet.Packet) {
 		}
 		return
 	}
-	c.FlushNow()
+	// Drain inline. The armed flag stays set: an already-scheduled
+	// FlushBatch still fires and clears it, collecting anything queued
+	// in between.
+	c.batch.Flush()
 	frame, raw := packet.EncodeV2(p, c.batch.MinCompress)
 	c.emit(frame, 1, raw)
 }
@@ -74,16 +115,14 @@ func (c *Codec) Multicast(p *packet.Packet) {
 // not overtake the data it reacts to) and returns p's encoded, already
 // accounted frame for the caller to address.
 func (c *Codec) EncodeUnicast(p *packet.Packet) []byte {
-	c.FlushNow()
+	if c.v1 {
+		return c.encodeV1(p)
+	}
+	c.batch.Flush()
 	frame, raw := packet.EncodeV2(p, c.batch.MinCompress)
 	c.account(frame, 1, raw)
 	return frame
 }
-
-// FlushNow drains the batcher inline. The armed flag stays set: an
-// already-scheduled FlushBatch still fires and clears it, collecting
-// anything queued in between.
-func (c *Codec) FlushNow() { c.batch.Flush() }
 
 // FlushBatch is the callback Arm schedules: it re-enables arming and
 // drains the batcher.
@@ -92,14 +131,24 @@ func (c *Codec) FlushBatch() {
 	c.batch.Flush()
 }
 
-// Decode strictly decodes one v2 frame, calling emit per logical packet
-// (see packet.DecodeFrameV2 for the borrow semantics). Every failure
-// counts as a corrupt frame: under a v2 session each peer seals every
-// frame it sends, so a frame that fails any guard — including a
-// truncation or a magic/version byte flipped by corruption — was
-// damaged in flight. The caller drops it; nothing was emitted.
+// Decode decodes one received frame, calling emit per logical packet
+// with a borrow valid only during the call (see packet.Decode and
+// packet.DecodeFrameV2). A v2 codec decodes strictly. Every failure
+// counts as a corrupt frame, under either format and on either
+// transport: each peer of a session frames everything it sends, so a
+// frame that fails any guard — including a truncation or a
+// magic/version byte flipped by corruption — was damaged in flight or
+// is not ours. The caller drops it; nothing was emitted.
 func (c *Codec) Decode(frame []byte, emit func(*packet.Packet)) error {
-	err := packet.DecodeFrameV2(frame, emit)
+	var err error
+	if c.v1 {
+		var p *packet.Packet
+		if p, err = packet.Decode(frame); err == nil {
+			emit(p)
+		}
+	} else {
+		err = packet.DecodeFrameV2(frame, emit)
+	}
 	if err != nil {
 		c.mx.CountCorruptFrame()
 	}

@@ -1,0 +1,196 @@
+package wire
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"rmcast/internal/core"
+	"rmcast/internal/metrics"
+	"rmcast/internal/packet"
+)
+
+// rig is a codec wired to a recording transport: sent collects every
+// frame in the order it left (multicast through send, unicast appended
+// by the test), arms counts Arm calls.
+type rig struct {
+	c    *Codec
+	mx   *metrics.Session
+	sent [][]byte
+	arms int
+}
+
+func newRig(cfg core.Config, countWire bool) *rig {
+	r := &rig{mx: metrics.NewSession()}
+	r.c = New(cfg, countWire, r.mx, func() { r.arms++ }, func(f []byte) { r.sent = append(r.sent, f) })
+	return r
+}
+
+// decodeAll runs every recorded frame back through the codec and
+// returns the logical packets in arrival order.
+func (r *rig) decodeAll(t *testing.T) []*packet.Packet {
+	t.Helper()
+	var out []*packet.Packet
+	for i, f := range r.sent {
+		if err := r.c.Decode(f, func(p *packet.Packet) { out = append(out, p.Clone()) }); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+func data(seq uint32, payload []byte) *packet.Packet {
+	return &packet.Packet{Type: packet.TypeData, MsgID: 1, Seq: seq, Aux: seq * 512, Payload: payload}
+}
+
+// TestV1RoundTrip: a v1 codec sends every packet at once as its plain
+// v1 encoding, never arms, has nothing to flush, and counts frames only
+// when the session opted in.
+func TestV1RoundTrip(t *testing.T) {
+	for _, count := range []bool{false, true} {
+		r := newRig(core.Config{}, count)
+		d := data(3, []byte("payload"))
+		ack := &packet.Packet{Type: packet.TypeAck, Seq: 4, Src: 2}
+		r.c.Multicast(d)
+		if len(r.sent) != 1 || !bytes.Equal(r.sent[0], d.Encode()) {
+			t.Fatalf("v1 multicast did not leave at once as p.Encode(): %x", r.sent)
+		}
+		r.sent = append(r.sent, r.c.EncodeUnicast(ack))
+		if !bytes.Equal(r.sent[1], ack.Encode()) {
+			t.Fatalf("v1 unicast frame is not p.Encode(): %x", r.sent[1])
+		}
+		r.c.FlushBatch()
+		if len(r.sent) != 2 || r.arms != 0 {
+			t.Fatalf("v1 flush sent or armed: %d frames, %d arms", len(r.sent), r.arms)
+		}
+		got := r.decodeAll(t)
+		if len(got) != 2 || got[0].Seq != 3 || string(got[0].Payload) != "payload" || got[1].Type != packet.TypeAck {
+			t.Fatalf("v1 round trip changed the packets: %v", got)
+		}
+		want := uint64(0)
+		if count {
+			want = 2
+		}
+		if m := r.mx.Snapshot(); m.WireFrames != want || m.CorruptFrames != 0 {
+			t.Fatalf("countWire=%v: wire_frames %d (want %d), corrupt_frames %d", count, m.WireFrames, want, m.CorruptFrames)
+		}
+	}
+}
+
+// TestDecodeFailureCountsCorrupt: whatever the format, a frame the
+// decoder rejects emits nothing and counts one corrupt frame — a v2
+// frame at a v1 node and a v1 frame at a v2 node included.
+func TestDecodeFailureCountsCorrupt(t *testing.T) {
+	v1Frame := data(1, []byte("x")).Encode()
+	v2Frame, _ := packet.EncodeV2(data(1, []byte("x")), 0)
+	for name, c := range map[string]struct {
+		cfg    core.Config
+		frames [][]byte
+	}{
+		"v1": {core.Config{}, [][]byte{nil, []byte("garbage on the port"), v1Frame[:packet.HeaderLen-1], v2Frame}},
+		"v2": {core.Config{WireV2: true}, [][]byte{nil, []byte("garbage on the port"), v2Frame[:len(v2Frame)-1], v1Frame}},
+	} {
+		r := newRig(c.cfg, false)
+		for i, f := range c.frames {
+			if err := r.c.Decode(f, func(*packet.Packet) { t.Fatalf("%s frame %d: emitted a packet", name, i) }); err == nil {
+				t.Fatalf("%s frame %d: accepted", name, i)
+			}
+		}
+		if got := r.mx.Snapshot().CorruptFrames; got != uint64(len(c.frames)) {
+			t.Fatalf("%s: corrupt_frames = %d, want %d", name, got, len(c.frames))
+		}
+	}
+}
+
+// TestFlushKeepsSendOrder: queued data leaves before the unicast reply
+// or control multicast that follows it, so frame order on the wire is
+// protocol send order, and FlushBatch re-enables arming.
+func TestFlushKeepsSendOrder(t *testing.T) {
+	r := newRig(core.Config{WireV2: true}, false)
+	small := bytes.Repeat([]byte("log line\n"), 10)
+	r.c.Multicast(data(0, small))
+	r.c.Multicast(data(1, small))
+	if len(r.sent) != 0 || r.arms != 1 {
+		t.Fatalf("two queued packets: %d frames sent, %d arms (want 0, 1)", len(r.sent), r.arms)
+	}
+	r.sent = append(r.sent, r.c.EncodeUnicast(&packet.Packet{Type: packet.TypeAck, Seq: 2}))
+	r.c.Multicast(data(2, small))
+	r.c.Multicast(&packet.Packet{Type: packet.TypeEject, Aux: 5})
+	big := data(3, make([]byte, 4000)) // over the carrier budget: goes out alone
+	r.c.Multicast(data(4, small))
+	r.c.Multicast(big)
+	if r.arms != 1 {
+		t.Fatalf("inline flushes re-armed: %d arms", r.arms)
+	}
+
+	var order []string
+	for _, p := range r.decodeAll(t) {
+		order = append(order, p.String())
+	}
+	want := []string{data(0, small).String(), data(1, small).String(),
+		(&packet.Packet{Type: packet.TypeAck, Seq: 2}).String(), data(2, small).String(),
+		(&packet.Packet{Type: packet.TypeEject, Aux: 5}).String(), data(4, small).String(), big.String()}
+	if len(order) != len(want) {
+		t.Fatalf("decoded %d packets, want %d: %v", len(order), len(want), order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("packet %d is %q, want %q", i, order[i], want[i])
+		}
+	}
+	if m := r.mx.Snapshot(); m.CarrierFrames != 1 || m.CoalescedPackets != 2 || m.WireFrames != uint64(len(r.sent)) {
+		t.Fatalf("accounting: %d carriers of %d packets in %d frames (sent %d)",
+			m.CarrierFrames, m.CoalescedPackets, m.WireFrames, len(r.sent))
+	}
+
+	// The scheduled flush finds the queue already drained, and clears
+	// the way for the next burst to arm again.
+	sent := len(r.sent)
+	r.c.FlushBatch()
+	if len(r.sent) != sent {
+		t.Fatal("FlushBatch sent frames from an empty queue")
+	}
+	r.c.Multicast(data(5, small))
+	if r.arms != 2 {
+		t.Fatalf("FlushBatch did not re-arm: %d arms", r.arms)
+	}
+	r.c.FlushBatch()
+	if len(r.sent) != sent+1 {
+		t.Fatalf("FlushBatch left the queued packet behind: %d frames", len(r.sent)-sent)
+	}
+}
+
+// TestSteadyStateAllocs: framing and unframing a compressible 512-byte
+// packet under v2 allocates the frame, the decoded packet header and
+// little else — the flate writer, reader and scratch are pooled, not
+// rebuilt per frame (which cost several hundred KiB a packet).
+func TestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var frame []byte
+	c := New(core.Config{WireV2: true}, false, nil, func() {}, func(f []byte) { frame = f })
+	p := data(7, bytes.Repeat([]byte("GET /index.html 200 17ms\n"), 21)[:512])
+	var got int
+	cycle := func() {
+		c.Multicast(p)
+		c.FlushBatch()
+		if err := c.Decode(frame, func(q *packet.Packet) { got = len(q.Payload) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // fill the pool
+	if got != 512 || len(frame) >= 300 {
+		t.Fatalf("packet did not compress and round-trip: %d-byte frame, %d-byte payload", len(frame), got)
+	}
+	const runs = 2000 // enough that one GC emptying the pool cannot carry the mean over the limit
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, cycle)
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("%.0f bytes in %.0f objects per packet", perRun, allocs)
+	if perRun >= 4096 || allocs > 4 {
+		t.Fatalf("v2 encode+decode allocates %.0f bytes in %.0f objects per packet; want under 4 KiB in at most 4", perRun, allocs)
+	}
+}

@@ -25,11 +25,6 @@ frag=$(go test -run '^$' -bench 'BenchmarkFragmentation' \
 	-benchmem -benchtime 200x ./internal/ipnet)
 sharded=$(go test -run '^$' -bench 'BenchmarkProto(Tree|Ring)1024' \
 	-benchmem -benchtime "$BENCHTIME" .)
-# Small-message regime, v1 vs v2 framing: wire-KB is the bytes the
-# session put on the wire (coalescing + compression cut it roughly in
-# half); v2's higher ns/op is the flate CPU the harness pays for that.
-wirev2=$(go test -run '^$' -bench 'BenchmarkProtoSmallMsg(V1|V2)' \
-	-benchmem -benchtime "$BENCHTIME" .)
 
 # parse_bench turns `go test -bench` output lines into JSON map entries.
 parse_bench() {
@@ -37,19 +32,17 @@ parse_bench() {
 		/^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)
-			ns = ""; allocs = ""; bytes = ""; mbps = ""; wirekb = ""
+			ns = ""; allocs = ""; bytes = ""; mbps = ""
 			for (i = 2; i <= NF; i++) {
 				if ($i == "ns/op")     ns = $(i-1)
 				if ($i == "allocs/op") allocs = $(i-1)
 				if ($i == "B/op")      bytes = $(i-1)
 				if ($i == "sim-Mbps")  mbps = $(i-1)
-				if ($i == "wire-KB")   wirekb = $(i-1)
 			}
 			line = sprintf("    \"%s\": {\"ns_per_op\": %s", name, ns)
 			if (bytes != "")  line = line sprintf(", \"bytes_per_op\": %s", bytes)
 			if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
 			if (mbps != "")   line = line sprintf(", \"sim_mbps\": %s", mbps)
-			if (wirekb != "") line = line sprintf(", \"wire_kb\": %s", wirekb)
 			line = line "}"
 			if (n++) printf(",\n")
 			printf("%s", line)
@@ -73,7 +66,7 @@ parse_bench() {
 	printf '    "BenchmarkProtoTree2MB": {"ns_per_op": 147900000, "allocs_per_op": 675151, "sim_mbps": 91.77}\n'
 	printf '  },\n'
 	printf '  "benchmarks": {\n'
-	printf '%s\n%s\n%s\n%s\n' "$proto" "$micro" "$frag" "$wirev2" | parse_bench
+	printf '%s\n%s\n%s\n' "$proto" "$micro" "$frag" | parse_bench
 	printf '  },\n'
 	# 1024-receiver fat-tree sessions, serial engine vs the sharded one.
 	# The sharded engine reproduces the serial run byte-for-byte (the
