@@ -103,7 +103,8 @@ type Config struct {
 	// protocol endpoint delivers a complete message — every time it
 	// happens, including (buggy) repeat deliveries, which is exactly what
 	// the invariant checkers subscribe to it for. The payload slice is
-	// owned by the receiver; the hook must not retain or mutate it.
+	// the receiver's own buffer, valid only during the call: the hook
+	// must not retain or mutate it, and Run recycles it on return.
 	OnDeliver func(rank core.NodeID, at time.Duration, payload []byte)
 	// Metrics, when non-nil, is the metrics session packet-level events
 	// are counted into. Run installs a fresh session when nil, so every

@@ -78,6 +78,10 @@ type env struct {
 
 	// codec frames this node's traffic in the session's wire format.
 	codec *wire.Codec
+	// emit is the codec's per-packet callback, built once: it delivers
+	// to receive from the rank of the datagram being decoded, from.
+	emit func(*packet.Packet)
+	from core.NodeID
 }
 
 // newEnv binds rank's socket on its host and builds its codec for
@@ -85,6 +89,7 @@ type env struct {
 // timer: after the current event, at the same virtual time.
 func (b *binding) newEnv(rank core.NodeID, pcfg core.Config) *env {
 	e := &env{b: b, rank: rank, host: b.c.Hosts[b.hostOf[rank]]}
+	e.emit = func(p *packet.Packet) { e.receive(e.from, p) }
 	e.sock = e.host.Bind(b.port, e.onDatagram)
 	e.codec = wire.New(pcfg, b.c.Cfg.CountWire, b.mx,
 		func() { e.host.SetTimer(0, e.codec.FlushBatch) },
@@ -103,9 +108,9 @@ func (e *env) onDatagram(dg *ipnet.Datagram) {
 	if src < 0 || src >= len(e.b.rankOf) || e.b.rankOf[src] < 0 {
 		return // not a member of this session
 	}
-	from := e.b.rankOf[src]
+	e.from = e.b.rankOf[src]
 	// A frame the codec rejects is dropped whole; the codec counted it.
-	_ = e.codec.Decode(frame, func(p *packet.Packet) { e.receive(from, p) })
+	_ = e.codec.Decode(frame, e.emit)
 }
 
 func (e *env) receive(from core.NodeID, p *packet.Packet) {

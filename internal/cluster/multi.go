@@ -73,8 +73,9 @@ type SessionSpec struct {
 	// is created otherwise so every SessionResult carries a snapshot.
 	Metrics *metrics.Session
 	// OnDeliver, when non-nil, observes every completed delivery (rank,
-	// time since the session's start, payload). The payload is owned by
-	// the receiver; the hook must not retain or mutate it.
+	// time since the session's start, payload). The payload is the
+	// receiver's own buffer, valid only during the call: the hook must
+	// not retain or mutate it, and RunMulti recycles it on return.
 	OnDeliver func(rank core.NodeID, at time.Duration, payload []byte)
 }
 
@@ -263,6 +264,7 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		r := &res.Sessions[si]
 		r.Start = specs[si].Start
 		t.summarise(&r.Result, end)
+		t.release()
 		res.Completed = res.Completed && r.Completed
 	}
 	res.HostStats, res.SwitchStats, _ = c.fabricStats()

@@ -294,6 +294,7 @@ func runProtocol(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int
 	}
 	ccfg.Metrics.AddOverflowDrops(overflow)
 	missing := t.summarise(res, end)
+	t.release()
 	if abort != nil && abort != errWallLimit {
 		return res, abort
 	}

@@ -164,6 +164,19 @@ func (t *transfer) summarise(res *Result, end sim.Time) (missing []core.NodeID) 
 	return missing
 }
 
+// release ends a one-shot run's claim on what its receivers delivered:
+// every message buffer goes back to core's pool for the next run in the
+// process. Run and RunMulti call it once summarise has verified the
+// bytes; a Session never does, because its Delivered is the caller's.
+func (t *transfer) release() {
+	t.delivered = nil
+	for _, rcv := range t.rcvs {
+		if rcv != nil {
+			rcv.Release()
+		}
+	}
+}
+
 // Session is one reliable multicast transfer on an existing cluster
 // with an arbitrary root host. Unlike the one-shot Run helper, sessions
 // let any host act as the sender and several sessions (on distinct
@@ -178,7 +191,10 @@ type Session struct {
 	t *transfer
 
 	// Delivered holds each receiver host's delivered message, indexed
-	// by host address (nil for the root and for undelivered hosts).
+	// by host address (nil for the root and for undelivered hosts). The
+	// slices are the caller's to keep: unlike Run and RunMulti, whose
+	// payloads are valid only inside OnDeliver, a Session never hands
+	// its receivers' buffers back for reuse.
 	Delivered [][]byte
 
 	// OnDeliver, when set (before the simulator runs), is additionally

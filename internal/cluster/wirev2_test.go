@@ -10,6 +10,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 
 	"rmcast/internal/check"
@@ -166,22 +167,42 @@ func TestWireV2SmallMessageBytesOnWire(t *testing.T) {
 // flipped bit, which the CRC catches; v1 has no checksum, so its row
 // injects the damage its decoder can detect — frames cut short of the
 // header — and pins that the failed decode is counted, not swallowed.
+// The v1-offset row is the damage no decoder can detect: a well-formed
+// data packet whose offset word is wrong. The receiver refuses it
+// (Receiver.store) and retransmission repairs the gap like any loss.
 func TestWireV2CorruptFrameInjection(t *testing.T) {
+	everyNinth := func(_, seen, _ int, _ []byte) bool { return seen%9 == 0 }
 	rows := map[string]struct {
 		wireV2 bool
+		// hit picks the frames to damage (rank > 0 always).
+		hit    func(rank, seen, injected int, frame []byte) bool
 		damage func(seen int, frame []byte) []byte
+		// silent damage passes every decode guard: no frame is counted
+		// corrupt, and refusing it is the receiver's job.
+		silent bool
 	}{
-		"v2-bitflip": {true, func(seen int, frame []byte) []byte {
+		"v2-bitflip": {true, everyNinth, func(seen int, frame []byte) []byte {
 			// The input may be shared across receivers of one multicast:
 			// corrupt a copy.
 			mut := append([]byte(nil), frame...)
 			bit := (seen * 13) % (len(mut) * 8)
 			mut[bit/8] ^= 1 << (bit % 8)
 			return mut
-		}},
-		"v1-truncated": {false, func(seen int, frame []byte) []byte {
+		}, false},
+		"v1-truncated": {false, everyNinth, func(seen int, frame []byte) []byte {
 			return frame[:1+seen%(packet.HeaderLen-1)]
-		}},
+		}, false},
+		// One data frame, at one receiver, whose offset word disagrees
+		// with its sequence: a well-formed v1 packet that would land on
+		// top of packet 0 if the receiver trusted Aux.
+		"v1-offset": {false, func(rank, _, injected int, frame []byte) bool {
+			return injected == 0 && rank == 3 && packet.Type(frame[2]) == packet.TypeData &&
+				binary.BigEndian.Uint32(frame[8:12]) == 5
+		}, func(_ int, frame []byte) []byte {
+			mut := append([]byte(nil), frame...)
+			binary.BigEndian.PutUint32(mut[12:16], 0)
+			return mut
+		}, true},
 	}
 	for name, row := range rows {
 		row := row
@@ -196,7 +217,7 @@ func TestWireV2CorruptFrameInjection(t *testing.T) {
 					return frame // leave the sender's inbound acks alone
 				}
 				seen++
-				if seen%9 != 0 {
+				if !row.hit(rank, seen, injected, frame) {
 					return frame
 				}
 				injected++
@@ -212,14 +233,18 @@ func TestWireV2CorruptFrameInjection(t *testing.T) {
 			if !res.Completed || !res.Verified {
 				t.Fatalf("session did not recover: completed=%v verified=%v", res.Completed, res.Verified)
 			}
-			if got := res.Metrics.CorruptFrames; got != uint64(injected) {
-				t.Errorf("CorruptFrames = %d, injected %d: a damaged frame was not detected", got, injected)
+			want := uint64(injected)
+			if row.silent {
+				want = 0
+			}
+			if got := res.Metrics.CorruptFrames; got != want {
+				t.Errorf("CorruptFrames = %d, want %d of %d injected: a damaged frame was not detected", got, want, injected)
 			}
 			if res.Metrics.Retransmissions == 0 {
 				t.Error("corruption caused no retransmissions; the injector hit nothing that mattered")
 			}
-			t.Logf("injected %d corrupt frames of %d seen; all detected, %d retransmissions repaired them",
-				injected, seen, res.Metrics.Retransmissions)
+			t.Logf("injected %d corrupt frames of %d seen; %d counted, %d retransmissions repaired them",
+				injected, seen, res.Metrics.CorruptFrames, res.Metrics.Retransmissions)
 		})
 	}
 }

@@ -78,6 +78,14 @@ type TimerID uint64
 // the simulated cluster node and the live UDP node. All methods are
 // non-blocking; time-consuming effects (CPU charges, wire time) happen
 // behind the scenes.
+//
+// The packet handed to Send and Multicast is lent for the call: a
+// receiver builds every transmission in one packet of its own and
+// overwrites it for the next, so an Env encodes (or Clones) before it
+// returns and keeps neither p nor p.Payload. Both implementations do —
+// cluster.env and live's liveEnv trace by value, count by type and
+// frame through wire.Codec at once, and live's Config.DropSend hook
+// answers during the call.
 type Env interface {
 	// Now returns the node-local notion of elapsed time.
 	Now() time.Duration

@@ -356,7 +356,7 @@ func (r *Receiver) sendJoinReq() {
 	if !r.joining || r.present {
 		return
 	}
-	r.send(SenderID, &packet.Packet{Type: packet.TypeJoinReq})
+	r.send(SenderID, packet.Packet{Type: packet.TypeJoinReq})
 	r.joinGen++
 	gen := r.joinGen
 	r.env.SetTimer(r.cfg.AllocTimeout, func() {
@@ -392,25 +392,7 @@ func (r *Receiver) onJoinOK(p *packet.Packet) {
 	if p.Flags&packet.FlagActive == 0 {
 		return // no session: wait for the next allocation request
 	}
-	size := int(p.Aux)
-	if !r.active || r.msgID != p.MsgID {
-		r.active = true
-		r.msgID = p.MsgID
-		r.buf = make([]byte, size)
-		r.count = r.cfg.PacketCount(size)
-		r.next = 0
-		r.delivered = false
-		r.succAck = 0
-		r.ackSent = 0
-		r.nakPending = false
-		r.nakGen++
-		r.owedAcks = r.owedAcks[:0]
-		if r.cfg.ARQ == ARQSelective {
-			r.have = make([]bool, r.count)
-		} else {
-			r.have = nil
-		}
-	}
+	r.beginSession(p.MsgID, int(p.Aux))
 	r.joinBase = p.Seq
 	r.liveMark = 0
 	if r.isTree && r.pred != SenderID {
@@ -427,7 +409,7 @@ func (r *Receiver) onJoinOK(p *packet.Packet) {
 	}
 	// Confirm the buffer: during the allocation phase this completes
 	// the sender's roll call; during the data phase it is ignored.
-	r.send(SenderID, &packet.Packet{Type: packet.TypeAllocOK, MsgID: r.msgID, Aux: p.Aux})
+	r.send(SenderID, packet.Packet{Type: packet.TypeAllocOK, MsgID: r.msgID, Aux: p.Aux})
 	r.armCatchup()
 }
 
@@ -449,7 +431,7 @@ func (r *Receiver) armCatchup() {
 		}
 		r.stats.NaksSent++
 		r.mx.CountNak()
-		r.send(SenderID, &packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next})
+		r.send(SenderID, packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next})
 		r.armCatchup()
 	})
 }
@@ -483,7 +465,7 @@ func (r *Receiver) sendLeave() {
 	if !r.leaving || r.left || r.ejected {
 		return
 	}
-	r.send(SenderID, &packet.Packet{Type: packet.TypeLeave, MsgID: r.msgID})
+	r.send(SenderID, packet.Packet{Type: packet.TypeLeave, MsgID: r.msgID})
 	r.leaveGen++
 	gen := r.leaveGen
 	r.env.SetTimer(r.cfg.AllocTimeout, func() {
@@ -602,7 +584,7 @@ func (r *Receiver) sendSnapFromBuf(to NodeID, seq uint32) {
 	if r.cfg.Protocol == ProtoNAK && (int(seq+1)%r.cfg.PollInterval == 0 || seq == r.count-1) {
 		flags |= packet.FlagPoll
 	}
-	r.send(to, &packet.Packet{
+	r.send(to, packet.Packet{
 		Type: packet.TypeSnap, Flags: flags, MsgID: r.msgID,
 		Seq: seq, Aux: uint32(off), Payload: chunk,
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rmcast/internal/metrics"
@@ -30,9 +31,13 @@ type Receiver struct {
 	rank      NodeID
 	onDeliver func(msg []byte)
 
-	active     bool
-	msgID      uint32
+	active bool
+	msgID  uint32
+	// buf is the message under assembly, len = message size. It is a
+	// view of *slab, the recyclable allocation behind it (see
+	// messageBuffer); the two are set and dropped together.
 	buf        []byte
+	slab       *[]byte
 	count      uint32
 	next       uint32 // next expected sequence
 	have       []bool // selective repeat: per-packet receipt map
@@ -95,12 +100,18 @@ type Receiver struct {
 	snapLimit  uint32
 	snapGen    uint64
 
+	// out is the one packet every transmission of this receiver is built
+	// in: Env.Send and Env.Multicast do not keep the pointer (see Env).
+	out packet.Packet
+
 	stats ReceiverStats
 	mx    *metrics.Session // optional; nil-safe
 }
 
 // NewReceiver creates the receiver ranked rank (1..NumReceivers).
-// onDeliver runs once per message with the fully assembled payload.
+// onDeliver runs once per message with the fully assembled payload,
+// which stays valid until the receiver's next session begins or Release
+// is called — a caller that never calls Release may keep the last one.
 func NewReceiver(env Env, cfg Config, rank NodeID, onDeliver func([]byte)) (*Receiver, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -189,7 +200,7 @@ func (r *Receiver) OnPacket(from NodeID, p *packet.Packet) {
 		// Liveness probe: answer with our cumulative progress, which
 		// doubles as lost-acknowledgment repair at the sender. An
 		// ejected or departed node stays quiet (send() enforces it).
-		r.send(from, &packet.Packet{Type: packet.TypePong, MsgID: p.MsgID, Seq: r.pongSeq(p.MsgID)})
+		r.send(from, packet.Packet{Type: packet.TypePong, MsgID: p.MsgID, Seq: r.pongSeq(p.MsgID)})
 	case packet.TypeEject:
 		r.onEject(NodeID(p.Aux))
 	case packet.TypeJoinOK:
@@ -276,33 +287,85 @@ func (r *Receiver) relink() {
 // and confirm. Duplicate requests (the sender retransmits them until
 // every confirmation arrives) are re-confirmed idempotently.
 func (r *Receiver) onAllocReq(p *packet.Packet) {
-	if !r.active || r.msgID != p.MsgID {
-		size := int(p.Aux)
-		r.active = true
-		r.msgID = p.MsgID
-		r.buf = make([]byte, size)
-		r.count = r.cfg.PacketCount(size)
-		r.next = 0
-		r.delivered = false
-		r.succAck = 0
-		r.ackSent = 0
-		r.nakPending = false
-		r.nakGen++
-		r.owedAcks = r.owedAcks[:0]
-		if r.cfg.ARQ == ARQSelective {
-			r.have = make([]bool, r.count)
-		} else {
-			r.have = nil
-		}
-		// A new session supersedes any catch-up or delegation state
-		// from the previous one.
-		r.joinBase = 0
-		r.liveMark = 0
-		r.catchGen++
-		r.snapActive = false
-		r.snapGen++
+	r.beginSession(p.MsgID, int(p.Aux))
+	r.send(SenderID, packet.Packet{Type: packet.TypeAllocOK, MsgID: r.msgID, Aux: p.Aux})
+}
+
+// beginSession makes msgID the session under assembly — a zeroed
+// size-byte buffer and every piece of per-message state reset — unless
+// it already is. Allocation requests and mid-session admissions
+// (onJoinOK) both start here.
+func (r *Receiver) beginSession(msgID uint32, size int) {
+	if r.active && r.msgID == msgID {
+		return
 	}
-	r.send(SenderID, &packet.Packet{Type: packet.TypeAllocOK, MsgID: r.msgID, Aux: p.Aux})
+	r.active = true
+	r.msgID = msgID
+	r.buf = r.messageBuffer(size)
+	r.count = r.cfg.PacketCount(size)
+	r.next = 0
+	r.delivered = false
+	r.succAck = 0
+	r.ackSent = 0
+	r.nakPending = false
+	r.nakGen++
+	r.owedAcks = r.owedAcks[:0]
+	if r.cfg.ARQ == ARQSelective {
+		r.have = make([]bool, r.count)
+	} else {
+		r.have = nil
+	}
+	// A new session supersedes any catch-up or delegation state
+	// from the previous one.
+	r.joinBase = 0
+	r.liveMark = 0
+	r.catchGen++
+	r.snapActive = false
+	r.snapGen++
+}
+
+// msgBufs holds released message buffers for the next session of any
+// receiver in the process. One pool rather than size classes: every
+// receiver of a run asks for the same size, so a buffer too small for
+// the request at hand (simply dropped) is rare, and rounding capacities
+// up to a class allocated more than it saved on `rmbench -exp fig8
+// -quick` (426,502-byte messages; numbers in CHANGES.md, PR 20).
+var msgBufs sync.Pool // of *[]byte
+
+// messageBuffer returns the size-byte, all-zero buffer of a new
+// session: this receiver's previous buffer when it is large enough (a
+// live node's receiver persists across messages), else a released one
+// from the pool, else a fresh allocation. A recycled buffer is cleared:
+// the test payload is a function of the byte index alone, so a packet
+// slot the session never wrote would otherwise read as the previous
+// message's bytes — and verify.
+func (r *Receiver) messageBuffer(size int) []byte {
+	if r.slab == nil || cap(*r.slab) < size {
+		r.slab, _ = msgBufs.Get().(*[]byte)
+		if r.slab == nil || cap(*r.slab) < size {
+			b := make([]byte, size)
+			r.slab = &b
+			return b
+		}
+	}
+	b := (*r.slab)[:size]
+	clear(b)
+	return b
+}
+
+// Release hands the message buffer to the pool for the next session in
+// the process and deactivates the session: the payload onDeliver saw is
+// invalid from here on, and late packets are dropped until a new
+// allocation request arrives. Releasing twice, or before any session,
+// is a no-op; a receiver that is simply dropped leaves its buffer to
+// the garbage collector.
+func (r *Receiver) Release() {
+	if r.slab == nil {
+		return
+	}
+	msgBufs.Put(r.slab)
+	r.slab, r.buf = nil, nil
+	r.active, r.snapActive = false, false
 }
 
 func (r *Receiver) onData(p *packet.Packet) {
@@ -341,12 +404,20 @@ func (r *Receiver) onData(p *packet.Packet) {
 	}
 }
 
-// store writes p's payload into the message buffer (selective repeat).
+// store writes p's payload into the message buffer, at the one place a
+// packet of its sequence can go: offset Seq×PacketSize, PacketSize
+// bytes long except for the message's last packet. That is the geometry
+// sendData, sendSnap and sendSnapFromBuf produce; anything else is
+// corrupt (v1 frames carry no checksum, and a live node hears whatever
+// reaches its port) and is dropped like a lost packet, for
+// retransmission to repair. The caller has checked Seq < count.
 func (r *Receiver) store(p *packet.Packet) bool {
-	off := int(p.Aux)
-	if off+len(p.Payload) > len(r.buf) {
-		// Corrupt or inconsistent packet; drop. (Cannot happen with a
-		// well-behaved sender; guards the live transport.)
+	off := int(p.Seq) * r.cfg.PacketSize
+	want := len(r.buf) - off
+	if want > r.cfg.PacketSize {
+		want = r.cfg.PacketSize
+	}
+	if int(p.Aux) != off || len(p.Payload) != want {
 		return false
 	}
 	copy(r.buf[off:], p.Payload)
@@ -595,7 +666,7 @@ func (r *Receiver) maybeNak() {
 	r.lastNak = now
 	r.stats.NaksSent++
 	r.mx.CountNak()
-	r.send(SenderID, &packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next})
+	r.send(SenderID, packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next})
 }
 
 // scheduleSuppressedNak implements the Pingali-style scheme: wait a
@@ -617,7 +688,8 @@ func (r *Receiver) scheduleSuppressedNak() {
 		r.lastNak = r.env.Now()
 		r.stats.NaksSent++
 		r.mx.CountNak()
-		r.env.Multicast(&packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next})
+		r.out = packet.Packet{Type: packet.TypeNak, MsgID: r.msgID, Seq: r.next}
+		r.env.Multicast(&r.out)
 	})
 }
 
@@ -646,12 +718,14 @@ func (r *Receiver) onOverheardNak(p *packet.Packet) {
 
 func (r *Receiver) sendAck(to NodeID, cum uint32) {
 	r.stats.AcksSent++
-	r.send(to, &packet.Packet{Type: packet.TypeAck, MsgID: r.msgID, Seq: cum})
+	r.send(to, packet.Packet{Type: packet.TypeAck, MsgID: r.msgID, Seq: cum})
 }
 
-func (r *Receiver) send(to NodeID, p *packet.Packet) {
+// send unicasts p from r.out, the receiver's one outbound packet.
+func (r *Receiver) send(to NodeID, p packet.Packet) {
 	if r.ejected || r.left {
 		return // a ghost — ejected or departed — stays quiet
 	}
-	r.env.Send(to, p)
+	r.out = p
+	r.env.Send(to, &r.out)
 }

@@ -102,6 +102,11 @@ type Node struct {
 	// (Protocol.WireV2). Owned by the event loop, like the endpoints
 	// that feed it.
 	codec *wire.Codec
+	// emit is the codec's per-packet callback, built once: it dispatches
+	// to onPacket with the source address of the datagram being
+	// decoded, src.
+	emit func(*packet.Packet)
+	src  *net.UDPAddr
 
 	// Everything below is owned by the event loop — the runLoop
 	// goroutine on a UDP node, the loopback driver in driven mode.
@@ -169,6 +174,7 @@ func newNode(cfg Config, group *net.UDPAddr, clk nodeClock, driven *LoopNet) (*N
 		timers:   make(map[core.TimerID]canceler),
 		recvQ:    make(chan []byte, 16),
 	}
+	n.emit = func(p *packet.Packet) { n.onPacket(p, n.src) }
 	// The send closure reads n.tr at send time: the transport is
 	// attached after newNode returns but before any packet moves.
 	n.codec = wire.New(cfg.Protocol, false, n.mx,
@@ -219,7 +225,8 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // deliverWire trampolines one inbound datagram onto the event loop
-// (called from transport reader goroutines, or the loopback driver).
+// (called from the UDP transport's reader goroutines; the loopback
+// network queues its datagrams as typed inbox entries instead).
 func (n *Node) deliverWire(frame []byte, src *net.UDPAddr) {
 	n.post(func() { n.onWire(frame, src) })
 }
@@ -281,7 +288,7 @@ func (n *Node) post(fn func()) {
 	default:
 	}
 	if n.driven != nil {
-		n.driven.enqueue(fn)
+		n.driven.enqueue(loopWork{fn: fn})
 		return
 	}
 	select {
@@ -357,7 +364,8 @@ func (n *Node) onWire(frame []byte, src *net.UDPAddr) {
 	// A frame failing any decode guard was damaged in flight or is
 	// stray traffic on the port; the codec counts it and it is dropped
 	// whole — no inner packet of a corrupt carrier reaches the endpoint.
-	_ = n.codec.Decode(frame, func(p *packet.Packet) { n.onPacket(p, src) })
+	n.src = src
+	_ = n.codec.Decode(frame, n.emit)
 }
 
 // onPacket dispatches one decoded logical packet (event loop). A v2

@@ -55,9 +55,30 @@ type LoopNet struct {
 	// work here and the driver drains it between simulator events, so
 	// every posted fn runs at the virtual instant that produced it.
 	mu    sync.Mutex
-	inbox []func()
+	inbox []loopWork
+	// spare is the drained batch's storage, swapped back in as the next
+	// inbox so steady-state posting appends into existing capacity;
+	// free recycles delivery records. Both are the driver's alone.
+	spare []loopWork
+	free  []*loopDatagram
 
 	ports []*loopPort // attach order; fan-out order for multicasts
+}
+
+// loopWork is one unit of posted event-loop work: a closure, or — the
+// per-datagram case, kept closure-free — a datagram for its
+// destination node's onWire.
+type loopWork struct {
+	fn func()
+	dg *loopDatagram
+}
+
+// loopDatagram is one datagram in flight: scheduled on the simulator by
+// send, queued on the inbox when it arrives, recycled once handled.
+type loopDatagram struct {
+	to   *loopPort
+	wire []byte
+	src  *net.UDPAddr
 }
 
 // NewLoopNet creates an empty loopback network.
@@ -125,9 +146,9 @@ func (ln *LoopNet) Run(until time.Duration) {
 }
 
 // enqueue adds event-loop work to the inbox (any goroutine).
-func (ln *LoopNet) enqueue(fn func()) {
+func (ln *LoopNet) enqueue(w loopWork) {
 	ln.mu.Lock()
-	ln.inbox = append(ln.inbox, fn)
+	ln.inbox = append(ln.inbox, w)
 	ln.mu.Unlock()
 }
 
@@ -137,13 +158,20 @@ func (ln *LoopNet) drain() {
 	for {
 		ln.mu.Lock()
 		batch := ln.inbox
-		ln.inbox = nil
+		ln.inbox = ln.spare
 		ln.mu.Unlock()
+		for _, w := range batch {
+			if w.dg == nil {
+				w.fn()
+				continue
+			}
+			w.dg.to.n.onWire(w.dg.wire, w.dg.src)
+			ln.recycle(w.dg)
+		}
+		clear(batch)
+		ln.spare = batch[:0]
 		if len(batch) == 0 {
 			return
-		}
-		for _, fn := range batch {
-			fn()
 		}
 	}
 }
@@ -166,13 +194,33 @@ func (ln *LoopNet) send(from, to *loopPort, wire []byte) {
 		at = prev
 	}
 	from.lastArrival[to] = at
-	src := from.addr
-	ln.sim.At(at, func() {
-		if to.closed {
-			return // the destination node closed while this was in flight
-		}
-		to.n.deliverWire(wire, src)
-	})
+	var dg *loopDatagram
+	if k := len(ln.free); k > 0 {
+		dg, ln.free = ln.free[k-1], ln.free[:k-1]
+	} else {
+		dg = new(loopDatagram)
+	}
+	*dg = loopDatagram{to: to, wire: wire, src: from.addr}
+	ln.sim.AtFunc(at, arriveLoop, dg, nil)
+}
+
+// recycle returns a handled delivery record to the free list (driver
+// only), dropping its references.
+func (ln *LoopNet) recycle(dg *loopDatagram) {
+	*dg = loopDatagram{}
+	ln.free = append(ln.free, dg)
+}
+
+// arriveLoop fires when a datagram reaches its destination: it joins
+// the inbox behind whatever the node has already been posted.
+func arriveLoop(a, _ any) {
+	dg := a.(*loopDatagram)
+	ln := dg.to.ln
+	if dg.to.closed {
+		ln.recycle(dg) // the destination node closed while this was in flight
+		return
+	}
+	ln.enqueue(loopWork{dg: dg})
 }
 
 // isHelloWire peeks the packet type byte (packet.EncodeTo layout)

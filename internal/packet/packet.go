@@ -181,7 +181,7 @@ var (
 	ErrBadType    = errors.New("packet: unknown packet type")
 )
 
-// Decode parses an encoded v1 packet.
+// Decode parses an encoded v1 packet into a fresh Packet.
 //
 // Ownership: the returned packet's Payload is a borrow — it aliases
 // b's storage and is valid only for as long as the caller owns b.
@@ -192,31 +192,53 @@ var (
 // endpoint in internal/core honors this: payloads are copied into the
 // preallocated message buffer (Receiver.store) or read to completion
 // (membership views) before the handler returns.
+//
+// The struct itself is the caller's here, but on the transports' path
+// it is a borrow too: wire.Codec decodes every frame into one scratch
+// Packet (DecodeInto, DecodeFrameV2Into) and overwrites it after the
+// handler returns, so a handler keeps neither the payload nor the
+// *Packet — Clone copies both.
 func Decode(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto is Decode into the caller's Packet: every field of p is
+// overwritten on success and p is untouched on error. It allocates
+// nothing; the ownership rule for the payload is Decode's.
+func DecodeInto(p *Packet, b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0] != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if b[1] != Version {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
-	p := &Packet{
-		Type:  Type(b[2]),
-		Flags: Flags(b[3]),
-		MsgID: binary.BigEndian.Uint32(b[4:8]),
-		Seq:   binary.BigEndian.Uint32(b[8:12]),
-		Aux:   binary.BigEndian.Uint32(b[12:16]),
-		Src:   binary.BigEndian.Uint16(b[16:18]),
+	if !Type(b[2]).Valid() {
+		return ErrBadType
 	}
-	if !p.Type.Valid() {
-		return nil, ErrBadType
-	}
+	p.setHeader(b)
+	p.Payload = nil
 	if len(b) > HeaderLen {
 		p.Payload = b[HeaderLen:]
 	}
-	return p, nil
+	return nil
+}
+
+// setHeader reads the fixed header fields (v1 and v2 share the layout)
+// from b[:HeaderLen].
+func (p *Packet) setHeader(b []byte) {
+	p.Type = Type(b[2])
+	p.Flags = Flags(b[3])
+	p.MsgID = binary.BigEndian.Uint32(b[4:8])
+	p.Seq = binary.BigEndian.Uint32(b[8:12])
+	p.Aux = binary.BigEndian.Uint32(b[12:16])
+	p.Src = binary.BigEndian.Uint16(b[16:18])
 }
 
 func (p *Packet) String() string {

@@ -134,10 +134,19 @@ func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 // checksum-less v1 path. It calls emit for each logical packet the
 // frame carries: once for a plain frame, once per inner packet for a
 // carrier. Emitted packets and their payloads are borrows — valid only
-// during the emit call, aliasing b or pooled decompression scratch — so
-// handlers that retain data must copy it (see Clone). Returns without
-// calling emit on any error.
+// during the emit call: the payload aliases b or pooled decompression
+// scratch, and every emit of one frame passes the same *Packet,
+// overwritten in between — so handlers that retain data must copy it
+// (see Clone). Returns without calling emit on any error.
 func DecodeFrameV2(b []byte, emit func(*Packet)) error {
+	return DecodeFrameV2Into(new(Packet), b, emit)
+}
+
+// DecodeFrameV2Into is DecodeFrameV2 emitting from the caller's scratch
+// packet p instead of a fresh one, so a transport that keeps one
+// scratch per node decodes without allocating. p's contents after the
+// call are unspecified.
+func DecodeFrameV2Into(p *Packet, b []byte, emit func(*Packet)) error {
 	if len(b) < HeaderLenV2+TrailerLen {
 		return ErrTruncated
 	}
@@ -151,15 +160,7 @@ func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(b[len(b)-TrailerLen:]) {
 		return ErrBadCRC
 	}
-	p := Packet{
-		Type:  Type(b[2]),
-		Flags: Flags(b[3]),
-		MsgID: binary.BigEndian.Uint32(b[4:8]),
-		Seq:   binary.BigEndian.Uint32(b[8:12]),
-		Aux:   binary.BigEndian.Uint32(b[12:16]),
-		Src:   binary.BigEndian.Uint16(b[16:18]),
-	}
-	if !p.Type.Valid() {
+	if !Type(b[2]).Valid() {
 		return ErrBadType
 	}
 	wf := WireFlags(b[HeaderLenV2-1])
@@ -176,41 +177,42 @@ func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 		}
 	}
 	if wf&WireCarrier != 0 {
-		return decodeCarrier(payload, emit)
+		return decodeCarrier(p, payload, emit)
 	}
+	p.setHeader(b)
+	p.Payload = nil
 	if len(payload) > 0 {
 		p.Payload = payload
 	}
-	emit(&p)
+	emit(p)
 	return nil
 }
 
-// decodeCarrier walks a carrier payload, emitting each inner packet.
-// The whole carrier is validated before the first emit so a malformed
+// decodeCarrier walks a carrier payload, emitting each inner packet
+// from p. The whole carrier is validated before the first emit — one
+// pass over the length prefixes and inner headers — so a malformed
 // tail cannot deliver a prefix.
-func decodeCarrier(payload []byte, emit func(*Packet)) error {
-	var inner []*Packet
+func decodeCarrier(p *Packet, payload []byte, emit func(*Packet)) error {
+	if len(payload) == 0 {
+		return ErrBadCarrier
+	}
 	for off := 0; off < len(payload); {
 		if off+2 > len(payload) {
 			return ErrBadCarrier
 		}
 		l := int(binary.BigEndian.Uint16(payload[off:]))
 		off += 2
-		if l < HeaderLen || off+l > len(payload) {
+		if off+l > len(payload) || DecodeInto(p, payload[off:off+l]) != nil {
 			return ErrBadCarrier
 		}
-		p, err := Decode(payload[off : off+l])
-		if err != nil {
-			return ErrBadCarrier
-		}
-		inner = append(inner, p)
 		off += l
 	}
-	if len(inner) == 0 {
-		return ErrBadCarrier
-	}
-	for _, p := range inner {
+	for off := 0; off < len(payload); {
+		l := int(binary.BigEndian.Uint16(payload[off:]))
+		off += 2
+		_ = DecodeInto(p, payload[off:off+l]) // validated by the first pass
 		emit(p)
+		off += l
 	}
 	return nil
 }

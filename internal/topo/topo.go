@@ -585,6 +585,7 @@ func (l *Layout) buildRoutes() {
 		}
 	}
 	l.routes = make([][]int, ns)
+	var candidates []int // equal-cost next hops of the pair at hand, reused
 	for s := 0; s < ns; s++ {
 		l.routes[s] = make([]int, l.Hosts)
 		for h := 0; h < l.Hosts; h++ {
@@ -593,7 +594,7 @@ func (l *Layout) buildRoutes() {
 				l.routes[s][h] = -1
 				continue
 			}
-			var candidates []int
+			candidates = candidates[:0]
 			for _, t := range adj[s] {
 				peer := l.Trunks[t].A + l.Trunks[t].B - s
 				if dist[d][peer] >= 0 && dist[d][peer] == dist[d][s]-1 {

@@ -393,3 +393,89 @@ func ExampleParse() {
 	// fattree:2x4x16@100m,trunk=1g
 	// 64 hosts max
 }
+
+// referenceRoutes is a literal copy of buildRoutes as it stood before
+// its candidate slice was hoisted out of the switch × host loop: the
+// reference TestRoutesMatchReference holds the optimised loop to.
+func referenceRoutes(l *Layout) [][]int {
+	ns := len(l.Switches)
+	adj := make([][]int, ns)
+	for t, tr := range l.Trunks {
+		adj[tr.A] = append(adj[tr.A], t)
+		adj[tr.B] = append(adj[tr.B], t)
+	}
+	dist := make([][]int, ns)
+	for d := 0; d < ns; d++ {
+		dist[d] = make([]int, ns)
+		for i := range dist[d] {
+			dist[d][i] = -1
+		}
+		dist[d][d] = 0
+		frontier := []int{d}
+		for len(frontier) > 0 {
+			var next []int
+			for _, s := range frontier {
+				for _, t := range adj[s] {
+					peer := l.Trunks[t].A + l.Trunks[t].B - s
+					if dist[d][peer] < 0 {
+						dist[d][peer] = dist[d][s] + 1
+						next = append(next, peer)
+					}
+				}
+			}
+			frontier = next
+		}
+	}
+	routes := make([][]int, ns)
+	for s := 0; s < ns; s++ {
+		routes[s] = make([]int, l.Hosts)
+		for h := 0; h < l.Hosts; h++ {
+			d := l.HostSwitch[h]
+			if d == s {
+				routes[s][h] = -1
+				continue
+			}
+			var candidates []int
+			for _, t := range adj[s] {
+				peer := l.Trunks[t].A + l.Trunks[t].B - s
+				if dist[d][peer] >= 0 && dist[d][peer] == dist[d][s]-1 {
+					candidates = append(candidates, t)
+				}
+			}
+			if len(candidates) == 0 {
+				routes[s][h] = -1
+				continue
+			}
+			routes[s][h] = candidates[(s+h)%len(candidates)]
+		}
+	}
+	return routes
+}
+
+// TestRoutesMatchReference checks every switch × host next hop of every
+// canned fabric, at the paper's 31 hosts and at the 1,025 of the scale
+// runs, against the reference loop.
+func TestRoutesMatchReference(t *testing.T) {
+	for _, c := range Canned() {
+		laidOut := false
+		for _, hosts := range []int{31, 1025} {
+			l, err := c.Spec.Layout(hosts, 0)
+			if err != nil {
+				continue // the fabric does not hold this many hosts
+			}
+			laidOut = true
+			want := referenceRoutes(l)
+			for sw := range l.Switches {
+				for h := 0; h < hosts; h++ {
+					if got := l.Route(sw, h); got != want[sw][h] {
+						t.Fatalf("%v at %d hosts: Route(%d, %d) = %d, reference %d",
+							c.Spec, hosts, sw, h, got, want[sw][h])
+					}
+				}
+			}
+		}
+		if !laidOut {
+			t.Errorf("%v holds neither 31 nor 1025 hosts", c.Spec)
+		}
+	}
+}

@@ -39,6 +39,9 @@ type Codec struct {
 	v1, countV1 bool
 	batch       packet.Batcher
 	armed       bool
+	// scratch is the one Packet every received frame is decoded into:
+	// Decode lends it to emit and clears it afterwards.
+	scratch packet.Packet
 }
 
 // New builds the codec for a session configured by cfg: v2 when
@@ -132,8 +135,12 @@ func (c *Codec) FlushBatch() {
 }
 
 // Decode decodes one received frame, calling emit per logical packet
-// with a borrow valid only during the call (see packet.Decode and
-// packet.DecodeFrameV2). A v2 codec decodes strictly. Every failure
+// with a borrow valid only during the call: the payload aliases frame
+// (or pooled inflate scratch), and the *Packet is the codec's one
+// scratch packet, overwritten by the frame's next inner packet and
+// cleared when Decode returns — a handler that keeps either must Clone
+// (see packet.Decode and packet.DecodeFrameV2), and emit must not
+// decode on the same codec. A v2 codec decodes strictly. Every failure
 // counts as a corrupt frame, under either format and on either
 // transport: each peer of a session frames everything it sends, so a
 // frame that fails any guard — including a truncation or a
@@ -142,13 +149,13 @@ func (c *Codec) FlushBatch() {
 func (c *Codec) Decode(frame []byte, emit func(*packet.Packet)) error {
 	var err error
 	if c.v1 {
-		var p *packet.Packet
-		if p, err = packet.Decode(frame); err == nil {
-			emit(p)
+		if err = packet.DecodeInto(&c.scratch, frame); err == nil {
+			emit(&c.scratch)
 		}
 	} else {
-		err = packet.DecodeFrameV2(frame, emit)
+		err = packet.DecodeFrameV2Into(&c.scratch, frame, emit)
 	}
+	c.scratch = packet.Packet{} // a kept pointer reads as an invalid packet, and frame is unpinned
 	if err != nil {
 		c.mx.CountCorruptFrame()
 	}
