@@ -112,8 +112,8 @@ func EncodeV2(p *Packet, minCompress int) (frame []byte, rawLen int) {
 // only when it is smaller.
 func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 	if minCompress > 0 && len(payload) >= minCompress {
-		st := flatePool.Get().(*flateState)
-		defer flatePool.Put(st) // after the copy below: c aliases st's scratch
+		st := getFlate()
+		defer putFlate(st) // after the copy below: c aliases st's scratch
 		if c := st.deflate(payload); len(c) < len(payload) {
 			payload = c
 			wf |= WireCompressed
@@ -133,19 +133,22 @@ func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 // v2 frames, so a corrupted version byte cannot demote a frame to the
 // checksum-less v1 path. It calls emit for each logical packet the
 // frame carries: once for a plain frame, once per inner packet for a
-// carrier. Emitted packets and their payloads are borrows — valid only
-// during the emit call: the payload aliases b or pooled decompression
-// scratch, and every emit of one frame passes the same *Packet,
-// overwritten in between — so handlers that retain data must copy it
-// (see Clone). Returns without calling emit on any error.
+// carrier. Emitted packets and their payloads are read-only borrows,
+// valid only during the emit call: the payload aliases b or a pooled
+// inflate memo that later decodes of an identical frame return again,
+// and every emit of one frame passes the same *Packet, overwritten in
+// between. Handlers must not write to a payload, and handlers that
+// retain data must copy it (see Clone). Returns without calling emit
+// on any error.
 func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	return DecodeFrameV2Into(new(Packet), b, emit)
 }
 
 // DecodeFrameV2Into is DecodeFrameV2 emitting from the caller's scratch
 // packet p instead of a fresh one, so a transport that keeps one
-// scratch per node decodes without allocating. p's contents after the
-// call are unspecified.
+// scratch per node decodes without allocating. Payloads are read-only
+// borrows, as for DecodeFrameV2. p's contents after the call are
+// unspecified.
 func DecodeFrameV2Into(p *Packet, b []byte, emit func(*Packet)) error {
 	if len(b) < HeaderLenV2+TrailerLen {
 		return ErrTruncated
@@ -169,8 +172,8 @@ func DecodeFrameV2Into(p *Packet, b []byte, emit func(*Packet)) error {
 	}
 	payload := body[HeaderLenV2:]
 	if wf&WireCompressed != 0 {
-		st := flatePool.Get().(*flateState)
-		defer flatePool.Put(st) // after emit: the payload aliases st's scratch
+		st := getFlate()
+		defer putFlate(st) // after emit: the payload aliases st's memo
 		var err error
 		if payload, err = st.inflate(payload); err != nil {
 			return err
@@ -231,25 +234,69 @@ func (p *Packet) Clone() *Packet {
 
 // flateState is the reusable compression state one frame borrows: a
 // flate writer and reader, each reset per frame instead of rebuilt (a
-// fresh flate.Writer alone allocates several hundred KiB), and the
-// scratch buffer their output lands in. Frames never alias the scratch
-// — sealV2 copies out of it — and decoded payloads alias it only for
-// the duration of emit, which is the documented borrow. A handler that
-// encodes or decodes from inside emit simply draws a second state.
+// fresh flate.Writer alone allocates about 1.2 MB), deflate's scratch
+// buffer, and a one-entry memo of the last frame inflated — a copy of
+// its compressed bytes and the inflated output. Every receiver of a
+// multicast frame decodes the same compressed bytes, so in a process
+// that runs them all (the simulator) the memo turns every inflate of a
+// frame but the first into one bytes.Equal. The key is the content,
+// never the slice: transports recycle their receive buffers.
+//
+// Frames never alias deflate's scratch — sealV2 copies out of it. A
+// decoded payload aliases the memo's output, read-only, for the
+// duration of emit, and successive decodes of an identical frame share
+// it. A handler that encodes or decodes from inside emit draws a second
+// state.
+//
+// States live on flateFree, a LIFO free list, not a sync.Pool: a state
+// is built once and never discarded, so its cost is paid once rather
+// than after every GC, and the next decode draws the state whose memo
+// was just filled. The list retains one state (about 1.24 MB) per
+// encoder or decoder that ever ran concurrently in the process.
 type flateState struct {
 	w   *flate.Writer
 	r   io.ReadCloser // a flate.Resetter
 	src bytes.Reader
 	lim io.LimitedReader
-	buf bytes.Buffer
+	buf bytes.Buffer // deflate's output
+
+	memo bool         // key and out hold a successful inflate
+	key  []byte       // the compressed bytes last inflated
+	out  bytes.Buffer // their inflated form
 }
 
-var flatePool = sync.Pool{New: func() any {
+var flateFree struct {
+	mu   sync.Mutex
+	list []*flateState
+}
+
+// getFlate pops the most recently returned state, or builds one.
+func getFlate() *flateState {
+	flateFree.mu.Lock()
+	if n := len(flateFree.list); n > 0 {
+		st := flateFree.list[n-1]
+		flateFree.list = flateFree.list[:n-1]
+		flateFree.mu.Unlock()
+		return st
+	}
+	flateFree.mu.Unlock()
+	return newFlateState()
+}
+
+func newFlateState() *flateState {
 	st := new(flateState)
 	st.w, _ = flate.NewWriter(&st.buf, flate.BestSpeed) // errs only on an invalid level
 	st.r = flate.NewReader(&st.src)
 	return st
-}}
+}
+
+// putFlate returns st to the free list. The caller must not use st, or
+// any slice it lent, afterwards.
+func putFlate(st *flateState) {
+	flateFree.mu.Lock()
+	flateFree.list = append(flateFree.list, st)
+	flateFree.mu.Unlock()
+}
 
 // deflate compresses src into st's scratch. Writer.Reset is specified
 // as equivalent to NewWriter, so the bytes match a fresh writer's.
@@ -265,18 +312,26 @@ func (st *flateState) deflate(src []byte) []byte {
 	return st.buf.Bytes()
 }
 
-// inflate decompresses src into st's scratch, refusing output beyond
-// maxInflate.
+// inflate decompresses src, refusing output beyond maxInflate. When src
+// equals the input of st's last successful inflate it returns that
+// output again without running flate. Only successes are memoised, so a
+// malformed stream or a bomb is rejected on every decode.
 func (st *flateState) inflate(src []byte) ([]byte, error) {
-	st.buf.Reset()
+	if st.memo && bytes.Equal(src, st.key) {
+		return st.out.Bytes(), nil
+	}
+	st.memo = false
+	st.out.Reset()
 	st.src.Reset(src)
 	if err := st.r.(flate.Resetter).Reset(&st.src, nil); err != nil {
 		return nil, ErrBadCompression
 	}
 	st.lim = io.LimitedReader{R: st.r, N: maxInflate + 1}
-	n, err := st.buf.ReadFrom(&st.lim)
+	n, err := st.out.ReadFrom(&st.lim)
 	if err != nil || n > maxInflate {
 		return nil, ErrBadCompression
 	}
-	return st.buf.Bytes(), nil
+	st.key = append(st.key[:0], src...)
+	st.memo = true
+	return st.out.Bytes(), nil
 }

@@ -8,8 +8,10 @@ import (
 
 // FuzzDecodeFrame feeds arbitrary bytes through both frame decoders —
 // the strict v2 DecodeFrameV2 and the v1 Decode — asserting neither
-// ever panics and every accepted frame emits only
-// valid, re-encodable packets. The seed corpus covers each v2 frame
+// ever panics, every accepted frame emits only valid, re-encodable
+// packets, and decoding the same bytes a second time (through the
+// inflate memo, for a compressed frame) gives the same error and the
+// same packets. The seed corpus covers each v2 frame
 // shape (plain, compressed, carrier, compressed carrier), v1 frames,
 // and each rejection class (truncations, corrupted trailers, flipped
 // version bytes, unknown wire flags, malformed carriers).
@@ -64,8 +66,16 @@ func FuzzDecodeFrame(f *testing.F) {
 			return err
 		}
 		for _, decode := range []func([]byte, func(*Packet)) error{decodeV1, DecodeFrameV2} {
-			var emitted []*Packet
+			var emitted, again []*Packet
 			err := decode(b, func(p *Packet) { emitted = append(emitted, p.Clone()) })
+			if err2 := decode(b, func(p *Packet) { again = append(again, p.Clone()) }); err2 != err || len(again) != len(emitted) {
+				t.Fatalf("second decode gave %d packets and %v, first %d and %v", len(again), err2, len(emitted), err)
+			}
+			for i := range again {
+				if !samePacket(again[i], emitted[i]) {
+					t.Fatalf("second decode changed packet %d:\n first  %+v\n second %+v", i, emitted[i], again[i])
+				}
+			}
 			if err != nil {
 				if len(emitted) != 0 {
 					t.Fatalf("emitted %d packets before erroring with %v", len(emitted), err)

@@ -2,9 +2,9 @@ package packet
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -313,9 +313,7 @@ func TestDecodePayloadAliasesInput(t *testing.T) {
 // payload inflates past the UDP maximum is dropped, not allocated.
 func TestV2DecompressionBombRejected(t *testing.T) {
 	huge := make([]byte, maxInflate+4096)
-	st := new(flateState)
-	st.w, _ = flate.NewWriter(&st.buf, flate.BestSpeed)
-	frame := sealV2((&Packet{Type: TypeData, Seq: 1}).Encode(), WireCompressed, st.deflate(huge), 0)
+	frame := sealV2((&Packet{Type: TypeData, Seq: 1}).Encode(), WireCompressed, newFlateState().deflate(huge), 0)
 	if err := DecodeFrameV2(frame, func(*Packet) {
 		t.Fatal("bomb emitted a packet")
 	}); err != ErrBadCompression {
@@ -350,4 +348,142 @@ func TestV2BadCarrierShapes(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrBadCarrier", name, err)
 		}
 	}
+}
+
+// compressedFrame encodes a data packet whose payload is text repeated
+// to 512 bytes, and fails the test unless the frame came out
+// compressed.
+func compressedFrame(t *testing.T, seq uint32, text string) []byte {
+	t.Helper()
+	frame, _ := EncodeV2(&Packet{Type: TypeData, MsgID: 1, Seq: seq,
+		Payload: []byte(strings.Repeat(text, 512/len(text)+1)[:512])}, DefaultCompressThreshold)
+	if WireFlags(frame[HeaderLenV2-1])&WireCompressed == 0 {
+		t.Fatalf("frame %d did not compress", seq)
+	}
+	return frame
+}
+
+// freshInflate inflates a compressed frame's payload on a state that
+// has never inflated anything, so no memo can answer.
+func freshInflate(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	out, err := newFlateState().inflate(frame[HeaderLenV2 : len(frame)-TrailerLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), out...)
+}
+
+// TestInflateMemoInterleaved: decodes of two compressed frames in any
+// order — alternating (every decode a memo miss) or repeated (a hit) —
+// emit exactly what a fresh inflate of each frame gives.
+func TestInflateMemoInterleaved(t *testing.T) {
+	a := compressedFrame(t, 1, "GET /index.html 200 17ms\n")
+	b := compressedFrame(t, 2, "POST /api/v1/items 201 4ms\n")
+	want := map[*byte][]byte{&a[0]: freshInflate(t, a), &b[0]: freshInflate(t, b)}
+	for i, f := range [][]byte{a, b, a, b, a, a, b, b, a} {
+		got := decodeOne(t, f)
+		if len(got) != 1 || !bytes.Equal(got[0].Payload, want[&f[0]]) {
+			t.Fatalf("decode %d: payload differs from a fresh inflate of the same frame", i)
+		}
+	}
+}
+
+// TestInflateMemoKeysOnContent: the memo answers for the same bytes in
+// any buffer and never for different bytes in the same buffer, which
+// is what a transport recycling its receive buffer does.
+func TestInflateMemoKeysOnContent(t *testing.T) {
+	a := compressedFrame(t, 1, "GET /index.html 200 17ms\n")
+	b := compressedFrame(t, 2, "POST /api/v1/items 201 4ms\n")
+	payload := func(f []byte) []byte { return f[HeaderLenV2 : len(f)-TrailerLen] }
+	st := newFlateState()
+	buf := append([]byte(nil), payload(a)...)
+	first, err := st.inflate(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := st.inflate(append([]byte(nil), payload(a)...))
+	if err != nil || &again[0] != &first[0] || !bytes.Equal(again, freshInflate(t, a)) {
+		t.Fatalf("the same bytes in another buffer were not served from the memo (err %v)", err)
+	}
+	buf = append(buf[:0], payload(b)...) // recycle the receive buffer
+	got, err := st.inflate(buf)
+	if err != nil || !bytes.Equal(got, freshInflate(t, b)) {
+		t.Fatalf("new bytes in the recycled buffer returned the memoised output (err %v)", err)
+	}
+	buf[len(buf)/2] ^= 0x10 // the same buffer, scribbled in place
+	if got, err := st.inflate(buf); err == nil && bytes.Equal(got, freshInflate(t, b)) {
+		t.Fatal("a scribbled input matched the memo")
+	}
+}
+
+// TestInflateMemoKeepsGuards: once a frame is memoised, every guard
+// still runs on every decode — a copy with a flipped trailer bit fails
+// the CRC, and the failures that come after inflate (a bomb, a
+// malformed carrier) fail every time, as they are never memoised.
+func TestInflateMemoKeepsGuards(t *testing.T) {
+	a := compressedFrame(t, 1, "GET /index.html 200 17ms\n")
+	decodeOne(t, a)
+	flipped := append([]byte(nil), a...)
+	flipped[len(flipped)-1] ^= 0x01
+	hdr := (&Packet{Type: TypeData, Seq: 1}).Encode()
+	badCarrier := sealV2(hdr, WireCarrier, bytes.Repeat([]byte{0xFF}, 256), DefaultCompressThreshold)
+	if WireFlags(badCarrier[HeaderLenV2-1])&WireCompressed == 0 {
+		t.Fatal("malformed carrier did not compress")
+	}
+	bomb := sealV2(hdr, WireCompressed, newFlateState().deflate(make([]byte, maxInflate+4096)), 0)
+	for name, c := range map[string]struct {
+		frame []byte
+		want  error
+	}{
+		"flipped trailer":     {flipped, ErrBadCRC},
+		"decompression bomb":  {bomb, ErrBadCompression},
+		"compressed carrier":  {badCarrier, ErrBadCarrier},
+		"flate garbage":       {sealV2(hdr, WireCompressed, []byte("not flate data"), 0), ErrBadCompression},
+		"empty flate payload": {sealV2(hdr, WireCompressed, nil, 0), ErrBadCompression},
+	} {
+		for i := 0; i < 2; i++ {
+			if err := DecodeFrameV2(c.frame, func(*Packet) {
+				t.Fatalf("%s: decode %d emitted a packet", name, i+1)
+			}); err != c.want {
+				t.Fatalf("%s: decode %d: err = %v, want %v", name, i+1, err, c.want)
+			}
+		}
+		if got := decodeOne(t, a); !bytes.Equal(got[0].Payload, freshInflate(t, a)) {
+			t.Fatalf("%s: the good frame decoded wrong after the failures", name)
+		}
+	}
+}
+
+// TestInflateMemoConcurrent: decoders on several goroutines share the
+// flate free list, each state's memo serves whichever goroutine draws
+// it, and every decode still emits its own frame's payload.
+func TestInflateMemoConcurrent(t *testing.T) {
+	frames := [][]byte{
+		compressedFrame(t, 1, "GET /index.html 200 17ms\n"),
+		compressedFrame(t, 2, "POST /api/v1/items 201 4ms\n"),
+		compressedFrame(t, 3, "DELETE /api/v1/items/7 204 2ms\n"),
+	}
+	var want [][]byte
+	for _, f := range frames {
+		want = append(want, freshInflate(t, f))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				k := (i / (g + 1)) % len(frames) // runs of g+1 repeats: hits and misses
+				if err := DecodeFrameV2(frames[k], func(p *Packet) {
+					if !bytes.Equal(p.Payload, want[k]) {
+						t.Errorf("goroutine %d, decode %d: payload of frame %d differs", g, i, k)
+					}
+				}); err != nil {
+					t.Errorf("goroutine %d, decode %d: %v", g, i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -135,12 +135,14 @@ func (c *Codec) FlushBatch() {
 }
 
 // Decode decodes one received frame, calling emit per logical packet
-// with a borrow valid only during the call: the payload aliases frame
-// (or pooled inflate scratch), and the *Packet is the codec's one
-// scratch packet, overwritten by the frame's next inner packet and
-// cleared when Decode returns — a handler that keeps either must Clone
-// (see packet.Decode and packet.DecodeFrameV2), and emit must not
-// decode on the same codec. A v2 codec decodes strictly. Every failure
+// with a read-only borrow valid only during the call: the payload
+// aliases frame (or a pooled inflate memo, which decodes of an
+// identical frame by other codecs share), and the *Packet is the
+// codec's one scratch packet, overwritten by the frame's next inner
+// packet and cleared when Decode returns — a handler must not write to
+// the payload, a handler that keeps either must Clone (see
+// packet.Decode and packet.DecodeFrameV2), and emit must not decode on
+// the same codec. A v2 codec decodes strictly. Every failure
 // counts as a corrupt frame, under either format and on either
 // transport: each peer of a session frames everything it sends, so a
 // frame that fails any guard — including a truncation or a

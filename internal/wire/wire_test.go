@@ -161,39 +161,61 @@ func TestFlushKeepsSendOrder(t *testing.T) {
 }
 
 // TestDecodeZeroAllocs: receiving allocates nothing the handler is not
-// given to keep. A v1 data frame, a v1 control frame, a plain v2 frame
-// and a v2 carrier all decode into the codec's one scratch packet, the
-// carrier's inner packets one after another.
+// given to keep. A v1 data frame, a v1 control frame, plain and
+// compressed v2 frames and v2 carriers, plain and compressed, all
+// decode into the codec's one scratch packet, a carrier's inner packets
+// one after another. A compressed frame decoded again is served from
+// the inflate memo; two compressed frames alternated miss it every
+// time, so they inflate with reused flate state.
 func TestDecodeZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	payload := bytes.Repeat([]byte{0xA5}, 512)
+	logs := bytes.Repeat([]byte("GET /index.html 200 17ms\n"), 21)[:512]
 	ack := &packet.Packet{Type: packet.TypeAck, MsgID: 1, Seq: 9, Src: 3}
-	var carrier []byte
-	batch := NewCodec(0, 0, nil, func() {}, func(f []byte) { carrier = f })
-	batch.Multicast(data(0, payload))
-	batch.Multicast(data(1, payload))
-	batch.FlushBatch()
-	plainV2, _ := packet.EncodeV2(data(2, payload), 0)
+	carrier := func(minCompress int) []byte {
+		var frame []byte
+		batch := NewCodec(minCompress, 0, nil, func() {}, func(f []byte) { frame = f })
+		batch.Multicast(data(0, payload))
+		batch.Multicast(data(1, logs))
+		batch.FlushBatch()
+		return frame
+	}
+	v2 := func(p *packet.Packet, minCompress int) []byte {
+		frame, _ := packet.EncodeV2(p, minCompress)
+		return frame
+	}
+	compressed := [][]byte{v2(data(3, payload), packet.DefaultCompressThreshold), v2(data(4, logs), packet.DefaultCompressThreshold)}
+	compressedCarrier := carrier(packet.DefaultCompressThreshold)
+	for _, f := range [][]byte{compressed[0], compressed[1], compressedCarrier} {
+		if packet.WireFlags(f[packet.HeaderLenV2-1])&packet.WireCompressed == 0 {
+			t.Fatalf("%d-byte frame did not compress", len(f))
+		}
+	}
 	for name, c := range map[string]struct {
-		codec *Codec
-		frame []byte
-		want  int // logical packets
+		codec  *Codec
+		frames [][]byte // decoded in turn
+		want   int      // logical packets per frame
 	}{
-		"v1 data":    {New(core.Config{}, false, nil, nil, nil), data(0, payload).Encode(), 1},
-		"v1 control": {New(core.Config{}, true, metrics.NewSession(), nil, nil), ack.Encode(), 1},
-		"v2 plain":   {NewCodec(0, 0, nil, nil, nil), plainV2, 1},
-		"v2 carrier": {NewCodec(0, 0, nil, nil, nil), carrier, 2},
+		"v1 data":                    {New(core.Config{}, false, nil, nil, nil), [][]byte{data(0, payload).Encode()}, 1},
+		"v1 control":                 {New(core.Config{}, true, metrics.NewSession(), nil, nil), [][]byte{ack.Encode()}, 1},
+		"v2 plain":                   {NewCodec(0, 0, nil, nil, nil), [][]byte{v2(data(2, payload), 0)}, 1},
+		"v2 carrier":                 {NewCodec(0, 0, nil, nil, nil), [][]byte{carrier(0)}, 2},
+		"v2 compressed, memo hit":    {NewCodec(0, 0, nil, nil, nil), compressed[:1], 1},
+		"v2 compressed, memo miss":   {NewCodec(0, 0, nil, nil, nil), compressed, 1},
+		"v2 compressed carrier, hit": {NewCodec(0, 0, nil, nil, nil), [][]byte{compressedCarrier}, 2},
 	} {
-		got := 0
+		got, i := 0, 0
 		emit := func(*packet.Packet) { got++ }
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := c.codec.Decode(c.frame, emit); err != nil {
+		decode := func() {
+			if err := c.codec.Decode(c.frames[i%len(c.frames)], emit); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
+			i++
+		}
+		for range c.frames {
+			decode() // size the reused buffers for every frame of the row
+		}
+		got = 0
+		if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
 			t.Errorf("%s: Decode allocated %.1f objects per frame, want 0", name, allocs)
 		}
 		if got != 201*c.want {
@@ -235,13 +257,11 @@ func TestDecodeLendsOneScratchPacket(t *testing.T) {
 
 // TestSteadyStateAllocs: framing and unframing a compressible 512-byte
 // packet under v2 allocates the frame and nothing else — the flate
-// writer, reader and scratch are pooled, not rebuilt per frame (which
-// cost several hundred KiB a packet), the batcher queues into storage
-// it keeps, and the decoded packet is the codec's scratch.
+// writer, reader and scratch come from a free list that keeps them
+// instead of being rebuilt per frame (which cost about 1.2 MB a packet)
+// or after a GC, the batcher queues into storage it keeps, and the
+// decoded packet is the codec's scratch.
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	var frame []byte
 	c := New(core.Config{WireV2: true}, false, nil, func() {}, func(f []byte) { frame = f })
 	p := data(7, bytes.Repeat([]byte("GET /index.html 200 17ms\n"), 21)[:512])
@@ -253,11 +273,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // fill the pool
+	cycle() // build the flate state and size its buffers
 	if got != 512 || len(frame) >= 300 {
 		t.Fatalf("packet did not compress and round-trip: %d-byte frame, %d-byte payload", len(frame), got)
 	}
-	const runs = 2000 // enough that one GC emptying the pool cannot carry the mean over the limit
+	const runs = 2000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, cycle)
