@@ -453,27 +453,26 @@ type CaseResult struct {
 }
 
 // Fuzz derives and runs cases first..first+n-1 from seed, fanning them
-// over parallel workers (the experiment engine's pool), and reports
+// over parallel workers (the experiment engine's exp.Each), and reports
 // each finished case in index order — so output is deterministic
 // regardless of worker count. report returning false stops the sweep:
-// cases not yet started are cancelled.
+// cases not yet started never run, and running ones are cancelled.
 func Fuzz(ctx context.Context, seed uint64, first, n, parallel int, report func(CaseResult) bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pool := exp.NewPool(ctx, parallel)
 	cases := make([]Case, n)
-	jobs := make([]*exp.Job[*Outcome], n)
-	for i := 0; i < n; i++ {
-		c := DeriveCase(seed, first+i)
-		cases[i] = c
-		jobs[i] = exp.Fork(pool, func() (*Outcome, error) { return RunCase(ctx, c) })
+	for i := range cases {
+		cases[i] = DeriveCase(seed, first+i)
 	}
-	for i := 0; i < n; i++ {
-		out, err := jobs[i].Wait()
-		if !report(CaseResult{Case: cases[i], Outcome: out, Err: err}) {
-			return
-		}
-	}
+	exp.Each(ctx, parallel, n,
+		func(i int) (*Outcome, error) { return RunCase(ctx, cases[i]) },
+		func(i int, out *Outcome, err error) bool {
+			if !report(CaseResult{Case: cases[i], Outcome: out, Err: err}) {
+				cancel()
+				return false
+			}
+			return true
+		})
 }
 
 func min(a, b int) int {

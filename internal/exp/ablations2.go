@@ -11,12 +11,6 @@ import (
 	"rmcast/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "ablation_gobackn", Title: "Go-Back-N vs selective repeat under loss", PaperRef: "Section 4 (flow control choice)", Run: runAblationGoBackN})
-	register(Experiment{ID: "ablation_naksupp", Title: "Sender-side vs receiver-side NAK suppression", PaperRef: "Section 3 (NAK implosion)", Run: runAblationNakSupp})
-	register(Experiment{ID: "ablation_pacing", Title: "Window-only vs rate-paced flow control", PaperRef: "Section 3 (flow control discussion)", Run: runAblationPacing})
-}
-
 // runAblationGoBackN tests the paper's claim that Go-Back-N performs as
 // well as selective repeat on a wired LAN, while quantifying what
 // selective repeat buys back once losses are injected.
@@ -29,40 +23,30 @@ func runAblationGoBackN(ctx context.Context, o Options) (*Report, error) {
 		rates = []float64{0, 0.01}
 	}
 	schemes := []core.ARQMode{core.ARQGoBackN, core.ARQSelective}
-	r := newRunner(ctx, o)
-	jobs := make([][]*job[*cluster.Result], len(rates))
-	for i, rate := range rates {
-		jobs[i] = make([]*job[*cluster.Result], len(schemes))
-		for j, arq := range schemes {
-			pcfg := core.Config{
-				Protocol: core.ProtoNAK, NumReceivers: n,
-				PacketSize: 8000, WindowSize: 20, PollInterval: 17,
-				ARQ: arq,
-			}
+	var pts []point
+	for _, rate := range rates {
+		for _, arq := range schemes {
+			pcfg := core.Config{Protocol: core.ProtoNAK, PacketSize: 8000, WindowSize: 20, PollInterval: 17, ARQ: arq}
 			ccfg := o.clusterConfig(n)
 			ccfg.LossRate = rate
-			jobs[i][j] = r.result(ccfg, pcfg, size)
+			pts = append(pts, point{ccfg, cluster.ProtoSpec(pcfg), size})
 		}
+	}
+	res, err := o.run(ctx, pts)
+	if err != nil {
+		return nil, err
 	}
 	gbnTime := &stats.Series{Label: "GBN time (s)"}
 	srTime := &stats.Series{Label: "SR time (s)"}
 	gbnRT := &stats.Series{Label: "GBN resends (pkts)"}
 	srRT := &stats.Series{Label: "SR resends (pkts)"}
 	for i, rate := range rates {
-		for j, arq := range schemes {
-			res, err := jobs[i][j].wait()
-			if err != nil {
-				return nil, err
-			}
-			x := rate * 100
-			if arq == core.ARQSelective {
-				srTime.Add(x, secs(res.Elapsed))
-				srRT.Add(x, float64(res.SenderStats.Retransmissions))
-			} else {
-				gbnTime.Add(x, secs(res.Elapsed))
-				gbnRT.Add(x, float64(res.SenderStats.Retransmissions))
-			}
-		}
+		gbn, sr := res[2*i], res[2*i+1]
+		x := rate * 100
+		gbnTime.Add(x, secs(gbn.Elapsed))
+		gbnRT.Add(x, float64(gbn.SenderStats.Retransmissions))
+		srTime.Add(x, secs(sr.Elapsed))
+		srRT.Add(x, float64(sr.SenderStats.Retransmissions))
 	}
 	findings := []string{
 		fmt.Sprintf("error-free: GBN %.4fs vs SR %.4fs — identical, which is why the paper chose the simpler scheme",
@@ -72,7 +56,7 @@ func runAblationGoBackN(ctx context.Context, o Options) (*Report, error) {
 	if gbnRT.At(lastX) > 0 {
 		findings = append(findings, fmt.Sprintf(
 			"at %.1f%%%% loss SR retransmits %.0f packets vs GBN's %.0f (%.1fx less wire traffic)",
-			lastX, srRT.At(lastX), gbnRT.At(lastX), gbnRT.At(lastX)/maxf(srRT.At(lastX), 1)))
+			lastX, srRT.At(lastX), gbnRT.At(lastX), gbnRT.At(lastX)/max(srRT.At(lastX), 1)))
 	}
 	return &Report{ID: "ablation_gobackn", Title: "Go-Back-N vs selective repeat", PaperRef: "Section 4",
 		Tables: []*stats.Table{
@@ -80,13 +64,6 @@ func runAblationGoBackN(ctx context.Context, o Options) (*Report, error) {
 			stats.SeriesTable("Retransmitted data packets", "loss %", gbnRT, srRT),
 		},
 		Findings: findings}, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runAblationNakSupp compares the paper's sender-side suppression with
@@ -104,36 +81,27 @@ func runAblationNakSupp(ctx context.Context, o Options) (*Report, error) {
 		Title:  fmt.Sprintf("NAK+polling, %dB to %d receivers, %.1f%% frame loss", size, n, loss*100),
 		Header: []string{"scheme", "time (s)", "naks sent", "naks suppressed", "sender naks processed"},
 	}
-	schemes := []bool{false, true}
-	r := newRunner(ctx, o)
-	jobs := make([]*job[*cluster.Result], len(schemes))
-	for i, receiverSide := range schemes {
-		pcfg := core.Config{
-			Protocol: core.ProtoNAK, NumReceivers: n,
-			PacketSize: 8000, WindowSize: 20, PollInterval: 17,
-			NakSuppression: receiverSide,
-		}
+	labels := []string{"sender-side (paper)", "receiver-side multicast [16]"}
+	pts := make([]point, len(labels))
+	for i := range labels {
+		pcfg := core.Config{Protocol: core.ProtoNAK, PacketSize: 8000, WindowSize: 20, PollInterval: 17, NakSuppression: i == 1}
 		ccfg := o.clusterConfig(n)
 		ccfg.LossRate = loss
-		jobs[i] = r.result(ccfg, pcfg, size)
+		pts[i] = point{ccfg, cluster.ProtoSpec(pcfg), size}
+	}
+	res, err := o.run(ctx, pts)
+	if err != nil {
+		return nil, err
 	}
 	var naksSent []uint64
-	for i, receiverSide := range schemes {
-		res, err := jobs[i].wait()
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range res {
 		var sent, throttled uint64
-		for _, rs := range res.ReceiverStats {
+		for _, rs := range r.ReceiverStats {
 			sent += rs.NaksSent
 			throttled += rs.NaksThrottled
 		}
 		naksSent = append(naksSent, sent)
-		label := "sender-side (paper)"
-		if receiverSide {
-			label = "receiver-side multicast [16]"
-		}
-		t.AddRow(label, secs(res.Elapsed), sent, throttled, res.SenderStats.NaksReceived)
+		t.AddRow(labels[i], secs(r.Elapsed), sent, throttled, r.SenderStats.NaksReceived)
 	}
 	findings := []string{fmt.Sprintf(
 		"receiver-side multicast suppression sent %d NAKs vs %d with per-receiver rate limiting; "+
@@ -163,20 +131,14 @@ func runAblationPacing(ctx context.Context, o Options) (*Report, error) {
 	slow.RecvSyscall = 2 * time.Millisecond
 	apps := []bool{false, true}
 	paces := []time.Duration{0, 2200 * time.Microsecond}
-	r := newRunner(ctx, o)
-	jobs := make([][]*job[*cluster.Result], len(apps))
-	for i, slowApp := range apps {
-		jobs[i] = make([]*job[*cluster.Result], len(paces))
-		for j, pace := range paces {
+	var pts []point
+	for _, slowApp := range apps {
+		for _, pace := range paces {
 			// Poll every 5 packets: frequent enough that the window base
 			// advances even when the slow receivers shed parts of each
 			// burst (with end-only polling the Go-Back-N resends restart
 			// at base 0 forever and the transfer never converges).
-			pcfg := core.Config{
-				Protocol: core.ProtoNAK, NumReceivers: n,
-				PacketSize: 8000, WindowSize: 16, PollInterval: 5,
-				PaceInterval: pace,
-			}
+			pcfg := core.Config{Protocol: core.ProtoNAK, PacketSize: 8000, WindowSize: 16, PollInterval: 5, PaceInterval: pace}
 			ccfg := o.clusterConfig(n)
 			ccfg.RecvBuf = 24 * 1024
 			// The window-only/compute-bound combination recovers very
@@ -185,34 +147,36 @@ func runAblationPacing(ctx context.Context, o Options) (*Report, error) {
 			if slowApp {
 				ccfg.ReceiverCosts = &slow
 			}
-			jobs[i][j] = r.result(ccfg, pcfg, size)
+			pts = append(pts, point{ccfg, cluster.ProtoSpec(pcfg), size})
 		}
 	}
-	var findings []string
-	for i, slowApp := range apps {
+	res, err := o.run(ctx, pts)
+	if err != nil {
+		return nil, err
+	}
+	for _, slowApp := range apps {
 		appLabel := "fast"
 		if slowApp {
 			appLabel = "compute-bound"
 		}
-		for j, pace := range paces {
-			res, err := jobs[i][j].wait()
-			if err != nil {
-				return nil, err
-			}
+		for _, pace := range paces {
+			r := res[0]
+			res = res[1:]
 			var drops uint64
-			for _, h := range res.HostStats[1:] {
+			for _, h := range r.HostStats[1:] {
 				drops += h.SocketDrops
 			}
 			label := "window only"
 			if pace > 0 {
 				label = "window + 2.2ms pace"
 			}
-			t.AddRow(label, appLabel, secs(res.Elapsed), res.SenderStats.Retransmissions, drops)
+			t.AddRow(label, appLabel, secs(r.Elapsed), r.SenderStats.Retransmissions, drops)
 		}
 	}
-	findings = append(findings,
+	findings := []string{
 		"with fast receivers pacing only adds latency; the window already self-clocks on LAN RTTs",
-		"with compute-bound receivers, pacing below the application's drain rate avoids buffer-overflow loss and the retransmissions it causes — the paper's Section 3 point that a proper transmission pacing scheme makes the retransmission mechanism nearly irrelevant on a wired LAN")
+		"with compute-bound receivers, pacing below the application's drain rate avoids buffer-overflow loss and the retransmissions it causes — the paper's Section 3 point that a proper transmission pacing scheme makes the retransmission mechanism nearly irrelevant on a wired LAN",
+	}
 	return &Report{ID: "ablation_pacing", Title: "Rate pacing", PaperRef: "Section 3",
 		Tables: []*stats.Table{t}, Findings: findings}, nil
 }

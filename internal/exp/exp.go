@@ -5,25 +5,22 @@
 // renders the same rows or curves the paper reports.
 //
 // Every simulation point is independent (each cluster.Run builds a
-// fresh seeded testbed), so experiments fork their points onto a
-// worker pool and collect results in sweep order: the rendered tables
-// are byte-identical whether the points ran serially or in parallel.
+// fresh seeded testbed), so an experiment declares its points — or its
+// curves of points — and one ordered engine (Each) runs them on
+// Options.Parallel workers, handing results back in sweep order: the
+// rendered tables are byte-identical whether the points ran serially or
+// in parallel.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"time"
 
 	"rmcast/internal/cluster"
-	"rmcast/internal/core"
-	"rmcast/internal/faults"
 	"rmcast/internal/stats"
 	"rmcast/internal/topo"
-	"rmcast/internal/unicast"
 )
 
 // Options tunes an experiment run.
@@ -76,16 +73,6 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-func (o Options) workers() int {
-	if o.Parallel < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallel == 0 {
-		return 1
-	}
-	return o.Parallel
-}
-
 // clusterConfig builds the testbed config for n receivers.
 func (o Options) clusterConfig(n int) cluster.Config {
 	c := cluster.Default(n)
@@ -128,37 +115,51 @@ type Experiment struct {
 	Run      func(context.Context, Options) (*Report, error)
 }
 
-var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
+// experiments is the registry, in the order All reports: the paper's
+// Tables 1 and 2, its figures, Table 3, then the ablations and
+// extensions by id.
+var experiments = []Experiment{
+	{ID: "table1", Title: "Memory requirement and implementation complexity", PaperRef: "Table 1", Run: runTable1},
+	{ID: "table2", Title: "Processing and network requirement per data packet", PaperRef: "Table 2", Run: runTable2},
+	{ID: "fig8", Title: "ACK-based protocol vs TCP", PaperRef: "Figure 8", Run: runFig8},
+	{ID: "fig9", Title: "ACK-based protocol vs raw UDP", PaperRef: "Figure 9", Run: runFig9},
+	{ID: "fig10", Title: "ACK-based: packet size × window size", PaperRef: "Figure 10", Run: runFig10},
+	{ID: "fig11", Title: "ACK-based scalability", PaperRef: "Figure 11", Run: runFig11},
+	{ID: "fig12", Title: "NAK+polling: poll interval sweep", PaperRef: "Figure 12", Run: runFig12},
+	{ID: "fig13", Title: "NAK+polling: buffer size sweep", PaperRef: "Figure 13", Run: runFig13},
+	{ID: "fig14", Title: "NAK+polling scalability", PaperRef: "Figure 14", Run: runFig14},
+	{ID: "fig15", Title: "Ring-based: packet size sweep", PaperRef: "Figure 15", Run: runFig15},
+	{ID: "fig16", Title: "Ring-based: window size sweep", PaperRef: "Figure 16", Run: runFig16},
+	{ID: "fig17", Title: "Ring-based scalability", PaperRef: "Figure 17", Run: runFig17},
+	{ID: "fig18", Title: "Tree-based: logical structure sweep", PaperRef: "Figure 18", Run: runFig18},
+	{ID: "fig19", Title: "Tree-based: window size per height", PaperRef: "Figure 19", Run: runFig19},
+	{ID: "fig20", Title: "Tree-based: small messages", PaperRef: "Figure 20", Run: runFig20},
+	{ID: "fig21", Title: "Tree-based: window × packet size at H=6", PaperRef: "Figure 21", Run: runFig21},
+	{ID: "table3", Title: "Throughput achieved when sending 2MB of data", PaperRef: "Table 3", Run: runTable3},
+	{ID: "ablation_gobackn", Title: "Go-Back-N vs selective repeat under loss", PaperRef: "Section 4 (flow control choice)", Run: runAblationGoBackN},
+	{ID: "ablation_loss", Title: "Go-Back-N cost under injected loss", PaperRef: "Section 4 (flow control)", Run: runAblationLoss},
+	{ID: "ablation_media", Title: "Switched vs shared CSMA/CD media", PaperRef: "Section 3 (LAN features)", Run: runAblationMedia},
+	{ID: "ablation_naksupp", Title: "Sender-side vs receiver-side NAK suppression", PaperRef: "Section 3 (NAK implosion)", Run: runAblationNakSupp},
+	{ID: "ablation_pacing", Title: "Window-only vs rate-paced flow control", PaperRef: "Section 3 (flow control discussion)", Run: runAblationPacing},
+	{ID: "ablation_relay", Title: "User-level vs kernel-cost ack relay in trees", PaperRef: "Section 5 (Figure 20 discussion)", Run: runAblationRelay},
+	{ID: "ablation_suppress", Title: "Retransmission suppression on/off under loss", PaperRef: "Section 4 (error control)", Run: runAblationSuppress},
+	{ID: "ext_appsim", Title: "A BSP-style parallel application over each protocol", PaperRef: "Section 1 (message passing libraries motivation)", Run: runExtAppSim},
+	{ID: "ext_contention", Title: "Concurrent sessions sharing one fabric, with and without AIMD rate control", PaperRef: "Section 6 (outlook)", Run: runExtContention},
+	{ID: "ext_failures", Title: "Degraded completion under receiver crashes", PaperRef: "Section 3 (reliability = all-must-receive)", Run: runExtFailures},
+	{ID: "ext_gigabit", Title: "The comparison projected onto gigabit Ethernet", PaperRef: "Section 6 (outlook)", Run: runExtGigabit},
+	{ID: "ext_scale", Title: "Protocol scaling on fat-tree fabrics up to 1k receivers", PaperRef: "Section 6 (outlook: beyond the 30-receiver testbed)", Run: runExtScale},
+	{ID: "ext_speedup", Title: "Sharded simulator wall-time speedup at 1k-4k receivers", PaperRef: "Section 6 (simulator engineering)", Run: runExtSpeedup},
+	{ID: "ext_straggler", Title: "One slow receiver in a homogeneous cluster", PaperRef: "Section 3 (homogeneity assumption)", Run: runExtStraggler},
+	{ID: "ext_wirev2", Title: "Wire format v2: checksummed, compressed, coalesced frames across payload workloads", PaperRef: "Section 4 (implementation) / Section 6 (outlook)", Run: runExtWirev2},
+}
 
 // All returns every registered experiment in a stable order: paper
 // tables and figures first (in paper order), then ablations.
-func All() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool { return orderKey(out[i].ID) < orderKey(out[j].ID) })
-	return out
-}
-
-func orderKey(id string) string {
-	// figNN and tableN sort naturally enough with zero padding.
-	var n int
-	if _, err := fmt.Sscanf(id, "fig%d", &n); err == nil {
-		return fmt.Sprintf("1-%02d", n)
-	}
-	if _, err := fmt.Sscanf(id, "table%d", &n); err == nil {
-		if n <= 2 {
-			return fmt.Sprintf("0-%02d", n)
-		}
-		return fmt.Sprintf("2-%02d", n)
-	}
-	return "3-" + id
-}
+func All() []Experiment { return append([]Experiment(nil), experiments...) }
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, error) {
-	for _, e := range registry {
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, nil
 		}
@@ -168,139 +169,6 @@ func ByID(id string) (Experiment, error) {
 
 // secs converts a duration to float seconds.
 func secs(d time.Duration) float64 { return d.Seconds() }
-
-// runTime executes one multicast session and returns its elapsed
-// communication time in seconds.
-func runTime(ctx context.Context, ccfg cluster.Config, pcfg core.Config, size int) (float64, error) {
-	res, err := cluster.Run(ctx, ccfg, cluster.ProtoSpec(pcfg), size)
-	if err != nil {
-		return 0, err
-	}
-	if !res.Verified {
-		return 0, fmt.Errorf("exp: %v run delivered corrupted data", pcfg.Protocol)
-	}
-	return secs(res.Elapsed), nil
-}
-
-// runner fans an experiment's independent simulation points across a
-// worker pool. fork schedules one point; the returned job's wait
-// delivers its result. With one worker the point instead runs lazily
-// inside wait — same call sites, no goroutines — so experiments are
-// written once and collection order alone fixes the output.
-type runner struct {
-	ctx    context.Context
-	sem    chan struct{} // nil: serial mode
-	shards int           // Options.Shards, resolved per point by shardize
-}
-
-func newRunner(ctx context.Context, o Options) *runner {
-	r := &runner{ctx: ctx, shards: o.Shards}
-	if w := o.workers(); w > 1 {
-		r.sem = make(chan struct{}, w)
-	}
-	return r
-}
-
-// shardize resolves the runner's shard request against one point's
-// final configuration (fabric and fault schedule included), setting
-// Shards only when the sharded engine would accept it. Experiments
-// therefore never fail from a shard/topology mismatch: incompatible
-// points simply run serially, producing the same bytes.
-func (r *runner) shardize(c *cluster.Config) {
-	want := r.shards
-	if want == 0 || want == 1 || c.Propagation <= 0 {
-		return
-	}
-	if want < 0 {
-		want = runtime.GOMAXPROCS(0)
-	}
-	if max := cluster.MaxShards(*c); max < want {
-		want = max
-	}
-	if want < 2 {
-		return
-	}
-	if c.Faults != nil {
-		for _, e := range c.Faults.Events {
-			if e.ByProgress || e.Kind == faults.Burst {
-				return
-			}
-		}
-	}
-	c.Shards = want
-}
-
-// job is one forked simulation point.
-type job[T any] struct {
-	fn   func() (T, error) // serial mode: evaluated at wait
-	done chan struct{}     // parallel mode: closed when v/err are set
-	v    T
-	err  error
-}
-
-// fork schedules fn on the runner's pool (or defers it to wait time in
-// serial mode). A canceled context short-circuits queued work.
-func fork[T any](r *runner, fn func() (T, error)) *job[T] {
-	if r.sem == nil {
-		return &job[T]{fn: func() (T, error) {
-			if err := r.ctx.Err(); err != nil {
-				var zero T
-				return zero, err
-			}
-			return fn()
-		}}
-	}
-	j := &job[T]{done: make(chan struct{})}
-	go func() {
-		defer close(j.done)
-		select {
-		case r.sem <- struct{}{}:
-			defer func() { <-r.sem }()
-		case <-r.ctx.Done():
-			j.err = r.ctx.Err()
-			return
-		}
-		if err := r.ctx.Err(); err != nil {
-			j.err = err
-			return
-		}
-		j.v, j.err = fn()
-	}()
-	return j
-}
-
-// wait blocks until the point has run and returns its result.
-func (j *job[T]) wait() (T, error) {
-	if j.done != nil {
-		<-j.done
-		return j.v, j.err
-	}
-	return j.fn()
-}
-
-// time forks one multicast session, resolving to elapsed seconds.
-func (r *runner) time(ccfg cluster.Config, pcfg core.Config, size int) *job[float64] {
-	r.shardize(&ccfg)
-	return fork(r, func() (float64, error) { return runTime(r.ctx, ccfg, pcfg, size) })
-}
-
-// result forks one multicast session, resolving to the full Result.
-func (r *runner) result(ccfg cluster.Config, pcfg core.Config, size int) *job[*cluster.Result] {
-	r.shardize(&ccfg)
-	return fork(r, func() (*cluster.Result, error) { return cluster.Run(r.ctx, ccfg, cluster.ProtoSpec(pcfg), size) })
-}
-
-// tcp forks one sequential-unicast baseline session.
-func (r *runner) tcp(ccfg cluster.Config, ucfg unicast.Config, size int) *job[*cluster.Result] {
-	return fork(r, func() (*cluster.Result, error) { return cluster.Run(r.ctx, ccfg, cluster.TCPSpec(ucfg), size) })
-}
-
-// rawUDP forks one unreliable-baseline session.
-func (r *runner) rawUDP(ccfg cluster.Config, packetSize, size int) *job[*cluster.Result] {
-	return fork(r, func() (*cluster.Result, error) {
-		return cluster.Run(r.ctx, ccfg, cluster.RawUDPSpec(packetSize), size)
-	})
-}
 
 // KB and MB are the paper's (binary) size units.
 const (

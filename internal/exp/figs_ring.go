@@ -8,12 +8,6 @@ import (
 	"rmcast/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "fig15", Title: "Ring-based: packet size sweep", PaperRef: "Figure 15", Run: runFig15})
-	register(Experiment{ID: "fig16", Title: "Ring-based: window size sweep", PaperRef: "Figure 16", Run: runFig16})
-	register(Experiment{ID: "fig17", Title: "Ring-based scalability", PaperRef: "Figure 17", Run: runFig17})
-}
-
 // runFig15 sweeps the packet size for a 2 MB transfer at window 35.
 func runFig15(ctx context.Context, o Options) (*Report, error) {
 	n := o.receivers()
@@ -27,22 +21,15 @@ func runFig15(ctx context.Context, o Options) (*Report, error) {
 	if window <= n {
 		window = n + 5 // the ring protocol requires window > N
 	}
-	r := newRunner(ctx, o)
-	jobs := make([]*job[float64], len(packetSizes))
-	for i, ps := range packetSizes {
-		jobs[i] = r.time(o.clusterConfig(n), core.Config{
-			Protocol: core.ProtoRing, NumReceivers: n,
-			PacketSize: ps, WindowSize: window,
-		}, size)
+	c := &curve{label: "time (s)"}
+	for _, ps := range packetSizes {
+		c.add(float64(ps), o.mc(n, core.Config{Protocol: core.ProtoRing, PacketSize: ps, WindowSize: window}, size))
 	}
-	s := &stats.Series{Label: "time (s)"}
-	for i, ps := range packetSizes {
-		t, err := jobs[i].wait()
-		if err != nil {
-			return nil, err
-		}
-		s.Add(float64(ps), t)
+	series, err := o.curves(ctx, c)
+	if err != nil {
+		return nil, err
 	}
+	s := series[0]
 	bestPS, bestT := s.MinY()
 	first := s.Y[0]
 	last := s.Y[len(s.Y)-1]
@@ -70,37 +57,23 @@ func runFig16(ctx context.Context, o Options) (*Report, error) {
 		windows = []int{n + 1, n + 12, n + 40}
 		packetSizes = []int{8000}
 	}
-	r := newRunner(ctx, o)
-	type point struct {
-		w int
-		j *job[float64]
-	}
-	pts := make([][]point, len(packetSizes))
+	cs := make([]*curve, len(packetSizes))
 	for i, ps := range packetSizes {
+		cs[i] = &curve{label: fmt.Sprintf("pkt=%dB (s)", ps)}
 		for _, w := range windows {
-			if w <= n {
-				continue
+			if w > n {
+				cs[i].add(float64(w), o.mc(n, core.Config{Protocol: core.ProtoRing, PacketSize: ps, WindowSize: w}, size))
 			}
-			pts[i] = append(pts[i], point{w, r.time(o.clusterConfig(n), core.Config{
-				Protocol: core.ProtoRing, NumReceivers: n,
-				PacketSize: ps, WindowSize: w,
-			}, size)})
 		}
 	}
-	var series []*stats.Series
+	series, err := o.curves(ctx, cs...)
+	if err != nil {
+		return nil, err
+	}
 	var findings []string
-	for i, ps := range packetSizes {
-		s := &stats.Series{Label: fmt.Sprintf("pkt=%dB (s)", ps)}
-		for _, pt := range pts[i] {
-			t, err := pt.j.wait()
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(pt.w), t)
-		}
-		series = append(series, s)
+	for i, s := range series {
 		bestW, bestT := s.MinY()
-		findings = append(findings, fmt.Sprintf("pkt=%dB: best window %d (%.3fs)", ps, int(bestW), bestT))
+		findings = append(findings, fmt.Sprintf("pkt=%dB: best window %d (%.3fs)", packetSizes[i], int(bestW), bestT))
 	}
 	findings = append(findings, fmt.Sprintf(
 		"the ring needs windows well beyond N=%d: an ACK for packet X only frees packet X−N", n))
@@ -117,26 +90,19 @@ func runFig17(ctx context.Context, o Options) (*Report, error) {
 		size = 512 * KB
 	}
 	sweep := receiverSweep(o)
-	r := newRunner(ctx, o)
-	jobs := make([]*job[float64], len(sweep))
-	for i, n := range sweep {
+	c := &curve{label: "pkt=8000B (s)"}
+	for _, n := range sweep {
 		w := 50
 		if w <= n {
 			w = n + 20
 		}
-		jobs[i] = r.time(o.clusterConfig(n), core.Config{
-			Protocol: core.ProtoRing, NumReceivers: n,
-			PacketSize: 8000, WindowSize: w,
-		}, size)
+		c.add(float64(n), o.mc(n, core.Config{Protocol: core.ProtoRing, PacketSize: 8000, WindowSize: w}, size))
 	}
-	s := &stats.Series{Label: "pkt=8000B (s)"}
-	for i, n := range sweep {
-		t, err := jobs[i].wait()
-		if err != nil {
-			return nil, err
-		}
-		s.Add(float64(n), t)
+	series, err := o.curves(ctx, c)
+	if err != nil {
+		return nil, err
 	}
+	s := series[0]
 	nMax := float64(sweep[len(sweep)-1])
 	findings := []string{fmt.Sprintf(
 		"scalability is a non-issue for large messages: +%.1f%% from 1 to %.0f receivers",

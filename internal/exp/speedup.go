@@ -11,15 +11,6 @@ import (
 	"rmcast/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "ext_speedup",
-		Title:    "Sharded simulator wall-time speedup at 1k-4k receivers",
-		PaperRef: "Section 6 (simulator engineering)",
-		Run:      runExtSpeedup,
-	})
-}
-
 // speedupCell is one (receivers, shards) measurement: the host
 // wall-clock time of the whole cluster.Run, plus the virtual session
 // time as a cross-check that the sharded run simulated the same thing.

@@ -11,15 +11,6 @@ import (
 	"rmcast/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "ext_wirev2",
-		Title:    "Wire format v2: checksummed, compressed, coalesced frames across payload workloads",
-		PaperRef: "Section 4 (implementation) / Section 6 (outlook)",
-		Run:      runExtWirev2,
-	})
-}
-
 // wirev2Protos returns the two sender disciplines the sweep contrasts:
 // the NAK sender streams whole windows back to back (the shape
 // coalescing targets) while the ACK sender is ack-clocked one packet
@@ -65,43 +56,23 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 	gens := workload.Generators()
 	arms := []string{"v1", "v2"}
 
-	r := newRunner(ctx, o)
-	point := func(pcfg core.Config, msg []byte, loss float64) *job[wirev2Point] {
-		ccfg := o.clusterConfig(n)
-		ccfg.Message = msg
-		ccfg.LossRate = loss
-		// v2 accounts its frames unconditionally; v1 opts in so the
-		// comparison measures both sides. (No shardize: the v2 codec
-		// rejects sharded execution, and these points are small.)
-		ccfg.CountWire = !pcfg.WireV2
-		return fork(r, func() (wirev2Point, error) {
-			res, err := cluster.Run(r.ctx, ccfg, cluster.ProtoSpec(pcfg), len(msg))
-			if err != nil {
-				return wirev2Point{}, err
-			}
-			if !res.Completed || !res.Verified {
-				return wirev2Point{}, fmt.Errorf("exp: wirev2 point incomplete or corrupted (%s, v2=%v)",
-					pcfg.Protocol, pcfg.WireV2)
-			}
-			p := wirev2Point{mbps: res.ThroughputMbps,
-				wireBytes: res.Metrics.WireBytes, frames: res.Metrics.WireFrames, ratio: 1}
-			if res.Metrics.WireBytes > 0 {
-				p.ratio = float64(res.Metrics.WireRawBytes) / float64(res.Metrics.WireBytes)
-			}
-			return p, nil
-		})
+	// runs collects every session of the three sweeps below in the
+	// order the tables read them back.
+	type run struct {
+		pcfg core.Config
+		msg  []byte
+		loss float64
 	}
+	var runs []run
 
 	// Sweep 1: workload x protocol x framing.
-	type key struct{ pi, gi, ai int }
-	grid := make(map[key]*job[wirev2Point])
 	protos := wirev2Protos(n)
-	for pi, pcfg := range protos {
-		for gi, g := range gens {
+	for _, pcfg := range protos {
+		for _, g := range gens {
 			msg := g.Build(o.seed(), size)
 			for ai := range arms {
 				pcfg.WireV2 = ai == 1
-				grid[key{pi, gi, ai}] = point(pcfg, msg, 0)
+				runs = append(runs, run{pcfg, msg, 0})
 			}
 		}
 	}
@@ -110,29 +81,58 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 	// selective repeat, at the loss rates where repair policy matters.
 	losses := []float64{0.01, 0.03}
 	arqs := []core.ARQMode{core.ARQGoBackN, core.ARQSelective}
-	type akey struct{ li, ai int }
-	agrid := make(map[akey]*job[wirev2Point])
 	amsg := workload.Logs(o.seed(), size)
-	for li, loss := range losses {
-		for ai, arq := range arqs {
-			pcfg := wirev2Protos(n)[0] // the NAK streaming sender
+	for _, loss := range losses {
+		for _, arq := range arqs {
+			pcfg := protos[0] // the NAK streaming sender
 			pcfg.WireV2, pcfg.ARQ = true, arq
-			agrid[akey{li, ai}] = point(pcfg, amsg, loss)
+			runs = append(runs, run{pcfg, amsg, loss})
 		}
 	}
 
 	// Sweep 3: attribution — the streaming sender on the two workloads
-	// v2 helps most, with each v2 mechanism alone. The v1 and both-on
-	// arms are sweep 1's points.
+	// v2 helps most, with each v2 mechanism alone: coalescing only, then
+	// compression only. The v1 and both-on arms are sweep 1's points.
 	const attribGens = 2 // logs, json
-	// alone[gi] is workload gi with coalescing only, then compression only.
-	var alone [attribGens][2]*job[wirev2Point]
-	for gi, g := range gens[:attribGens] {
+	for _, g := range gens[:attribGens] {
 		msg := g.Build(o.seed(), size)
 		coalesce, compress := protos[0], protos[0]
 		coalesce.WireV2, coalesce.CompressThreshold = true, -1
 		compress.WireV2, compress.CoalesceMTU = true, packet.MinCoalesceMTU
-		alone[gi] = [2]*job[wirev2Point]{point(coalesce, msg, 0), point(compress, msg, 0)}
+		runs = append(runs, run{coalesce, msg, 0}, run{compress, msg, 0})
+	}
+
+	res, err := all(ctx, o, len(runs), func(i int) (wirev2Point, error) {
+		pcfg := runs[i].pcfg
+		ccfg := o.clusterConfig(n)
+		ccfg.Message = runs[i].msg
+		ccfg.LossRate = runs[i].loss
+		// v2 accounts its frames unconditionally; v1 opts in so the
+		// comparison measures both sides. (No shardize: the v2 codec
+		// rejects sharded execution, and these points are small.)
+		ccfg.CountWire = !pcfg.WireV2
+		r, err := cluster.Run(ctx, ccfg, cluster.ProtoSpec(pcfg), len(runs[i].msg))
+		if err != nil {
+			return wirev2Point{}, err
+		}
+		if !r.Completed || !r.Verified {
+			return wirev2Point{}, fmt.Errorf("exp: wirev2 point incomplete or corrupted (%s, v2=%v)",
+				pcfg.Protocol, pcfg.WireV2)
+		}
+		p := wirev2Point{mbps: r.ThroughputMbps,
+			wireBytes: r.Metrics.WireBytes, frames: r.Metrics.WireFrames, ratio: 1}
+		if r.Metrics.WireBytes > 0 {
+			p.ratio = float64(r.Metrics.WireRawBytes) / float64(r.Metrics.WireBytes)
+		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	next := func() wirev2Point {
+		p := res[0]
+		res = res[1:]
+		return p
 	}
 
 	var tables []*stats.Table
@@ -149,10 +149,7 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 		for gi, g := range gens {
 			var pts [2]wirev2Point
 			for ai := range arms {
-				p, err := grid[key{pi, gi, ai}].wait()
-				if err != nil {
-					return nil, err
-				}
+				p := next()
 				pts[ai] = p
 				t.AddRow(g.Name, arms[ai], p.mbps, float64(p.wireBytes)/KB,
 					float64(p.frames), p.ratio)
@@ -172,10 +169,7 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 	var gbn3, sel3 wirev2Point
 	for li, loss := range losses {
 		for ai, arq := range arqs {
-			p, err := agrid[akey{li, ai}].wait()
-			if err != nil {
-				return nil, err
-			}
+			p := next()
 			at.AddRow(fmt.Sprintf("%.0f%%", loss*100), arq.String(), p.mbps,
 				float64(p.wireBytes)/KB, float64(p.frames))
 			if li == len(losses)-1 {
@@ -199,15 +193,7 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 	// finding.
 	var logs [4]wirev2Point
 	for gi, g := range gens[:attribGens] {
-		coalesce, err := alone[gi][0].wait()
-		if err != nil {
-			return nil, err
-		}
-		compress, err := alone[gi][1].wait()
-		if err != nil {
-			return nil, err
-		}
-		pts := [4]wirev2Point{streaming[gi][0], coalesce, compress, streaming[gi][1]}
+		pts := [4]wirev2Point{streaming[gi][0], next(), next(), streaming[gi][1]}
 		for mi, p := range pts {
 			mt.AddRow(g.Name, mechArms[mi], p.mbps, float64(p.wireBytes)/KB, float64(p.frames),
 				fmt.Sprintf("%.0f%%", p.shareOf(pts[0])))
@@ -227,7 +213,7 @@ func runExtWirev2(ctx context.Context, o Options) (*Report, error) {
 			"(%.2fx) — repairing only what was lost is why v2 promotes it; the trade is elapsed time "+
 			"(%.2f vs %.2f Mbps goodput), since hole repair waits on poll rounds while go-back-N restreams at once",
 			float64(sel3.wireBytes)/KB, float64(gbn3.wireBytes)/KB,
-			float64(gbn3.wireBytes)/maxf(float64(sel3.wireBytes), 1),
+			float64(gbn3.wireBytes)/max(float64(sel3.wireBytes), 1),
 			sel3.mbps, gbn3.mbps),
 		"the CRC32-C trailer converts silent wire corruption into counted, repairable loss; the corrupt-frame counter stayed zero across every clean point above",
 		fmt.Sprintf("compression buys the bytes and coalescing the frames: on logs, compression alone reaches %.0f%% of v1's bytes "+
