@@ -95,8 +95,8 @@ func run() int {
 			return 2
 		}
 		// Sample every blocking event: the interesting waits (shard
-		// start/ack handshakes, worker-pool semaphores) are few and long,
-		// so full sampling stays cheap.
+		// start/ack handshakes, the sweep engine's in-order result
+		// hand-off) are few and long, so full sampling stays cheap.
 		runtime.SetBlockProfileRate(1)
 		defer func() {
 			if err := pprof.Lookup("block").WriteTo(f, 0); err != nil {
