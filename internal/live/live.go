@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -56,6 +57,8 @@ type Config struct {
 	// Protocol.MaxRetries > 0; default 5×HelloInterval.
 	PeerTimeout time.Duration
 	// ReadBuffer sizes the sockets' kernel receive buffers (default 1 MB).
+	// NewNode fails if a socket refuses it; Linux silently clamps a
+	// request above net.core.rmem_max instead.
 	ReadBuffer int
 	// DropSend, when non-nil, discards outgoing packets for which it
 	// returns true before they reach the socket — deterministic loss
@@ -80,7 +83,7 @@ type Config struct {
 // Node is one live protocol endpoint.
 type Node struct {
 	cfg   Config
-	group *net.UDPAddr
+	group netip.AddrPort
 	tr    transport
 	clk   nodeClock
 	// driven is non-nil when the node is attached to a deterministic
@@ -89,7 +92,7 @@ type Node struct {
 	// driver executes posted work between simulator events.
 	driven *LoopNet
 
-	loop      chan func()
+	loop      chan work // loopDepth deep
 	closing   chan struct{}
 	wg        sync.WaitGroup
 	stopHello func()
@@ -97,6 +100,9 @@ type Node struct {
 	// mx counts the node's protocol activity. Its instruments are
 	// atomic, so Metrics() snapshots are safe from any goroutine.
 	mx *metrics.Session
+
+	// rx lends reader buffers to the event loop (UDP nodes only).
+	rx rxFree
 
 	// codec frames this node's traffic in the session's wire format
 	// (Protocol.WireV2). Owned by the event loop, like the endpoints
@@ -106,11 +112,11 @@ type Node struct {
 	// to onPacket with the source address of the datagram being
 	// decoded, src.
 	emit func(*packet.Packet)
-	src  *net.UDPAddr
+	src  netip.AddrPort
 
 	// Everything below is owned by the event loop — the runLoop
 	// goroutine on a UDP node, the loopback driver in driven mode.
-	addrs     map[core.NodeID]*net.UDPAddr
+	addrs     map[core.NodeID]netip.AddrPort
 	lastSeen  map[core.NodeID]time.Duration
 	ep        core.Endpoint
 	timers    map[core.TimerID]canceler
@@ -134,6 +140,22 @@ type Node struct {
 	closeOnce sync.Once
 }
 
+// loopDepth is how many units a UDP node's event loop queues: deep
+// enough for the readers to keep draining the sockets through a
+// window's burst of arrivals. It also bounds the reader buffers on loan
+// to the loop at once.
+const loopDepth = 1024
+
+// work is one unit of a UDP node's event-loop work: a posted closure,
+// or — the per-datagram case, kept closure-free like LoopNet's loopWork
+// — a datagram a reader lent the loop, in a buffer from the node's free
+// list, with its source.
+type work struct {
+	fn    func()
+	frame []byte
+	src   netip.AddrPort
+}
+
 // readyWaiter is one pending whenReady continuation.
 type readyWaiter struct {
 	want int
@@ -143,7 +165,7 @@ type readyWaiter struct {
 // newNode builds the runtime-independent part of a node: config
 // validation and defaults, the protocol endpoint, and the event-loop
 // state. The caller attaches a transport and starts discovery.
-func newNode(cfg Config, group *net.UDPAddr, clk nodeClock, driven *LoopNet) (*Node, error) {
+func newNode(cfg Config, group netip.AddrPort, clk nodeClock, driven *LoopNet) (*Node, error) {
 	if cfg.Rank < 0 || int(cfg.Rank) > cfg.Protocol.NumReceivers {
 		return nil, fmt.Errorf("live: rank %d out of range [0,%d]", cfg.Rank, cfg.Protocol.NumReceivers)
 	}
@@ -166,10 +188,10 @@ func newNode(cfg Config, group *net.UDPAddr, clk nodeClock, driven *LoopNet) (*N
 		group:    group,
 		clk:      clk,
 		driven:   driven,
-		loop:     make(chan func(), 1024),
+		loop:     make(chan work, loopDepth),
 		closing:  make(chan struct{}),
 		mx:       metrics.NewSession(),
-		addrs:    make(map[core.NodeID]*net.UDPAddr),
+		addrs:    make(map[core.NodeID]netip.AddrPort),
 		lastSeen: make(map[core.NodeID]time.Duration),
 		timers:   make(map[core.TimerID]canceler),
 		recvQ:    make(chan []byte, 16),
@@ -209,11 +231,14 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("live: interface %q: %w", cfg.Interface, err)
 		}
 	}
-	n, err := newNode(cfg, group, realClock{epoch: time.Now()}, nil)
+	// Readers see IPv4 sources in their 4-byte form; compare and send
+	// in that form too.
+	ap := group.AddrPort()
+	n, err := newNode(cfg, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), realClock{epoch: time.Now()}, nil)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := newUDPTransport(group, ifi, n.cfg.ReadBuffer, n.deliverWire)
+	tr, err := newUDPTransport(group, ifi, n.cfg.ReadBuffer, n.mx, n.handoff)
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +249,22 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// deliverWire trampolines one inbound datagram onto the event loop
-// (called from the UDP transport's reader goroutines; the loopback
-// network queues its datagrams as typed inbox entries instead).
-func (n *Node) deliverWire(frame []byte, src *net.UDPAddr) {
-	n.post(func() { n.onWire(frame, src) })
+// handoff is the reader's half of the receive path (a UDP transport's
+// reader goroutine; the loopback network queues its datagrams as typed
+// inbox entries instead). It drops the node's own multicast, looped
+// back by the kernel, before anything is copied or decoded; copies
+// every other frame out of the reader's scratch into a buffer from the
+// free list; and lends that buffer to the event loop, which returns it
+// once onWire is done. Lending is sound because nothing past onWire
+// keeps a received byte: the codec's decode only borrows the frame and
+// internal/core copies every payload it retains.
+func (n *Node) handoff(frame []byte, src netip.AddrPort) {
+	if rank, ok := packet.PeekSrc(frame); ok && rank == uint16(n.cfg.Rank) {
+		return
+	}
+	buf := n.rx.get(len(frame))
+	copy(buf, frame)
+	n.push(work{frame: buf, src: src})
 }
 
 // onDeliver handles one fully reassembled message (event loop).
@@ -251,6 +287,7 @@ func (n *Node) onDeliver(msg []byte) {
 		// Receiver application is not consuming; drop the oldest.
 		select {
 		case <-n.recvQ:
+			n.mx.CountRecvQEviction()
 		default:
 		}
 		n.recvQ <- out
@@ -263,9 +300,10 @@ func (n *Node) Rank() core.NodeID { return n.cfg.Rank }
 // LocalAddr returns the node's unicast address.
 func (n *Node) LocalAddr() *net.UDPAddr { return n.tr.LocalAddr() }
 
-// Close shuts the node down. Pending Send/Recv calls fail. On a UDP
-// node it waits for the event loop and socket readers to exit, so no
-// node goroutine outlives Close.
+// Close shuts the node down. Pending Send/Recv calls fail, and a
+// receiver rank's message buffer goes back to the process-wide pool.
+// On a UDP node it waits for the event loop and socket readers to
+// exit, so no node goroutine outlives Close. Closing twice is a no-op.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.closing)
@@ -273,54 +311,86 @@ func (n *Node) Close() error {
 			n.stopHello()
 		}
 		n.tr.Close()
+		if n.driven != nil {
+			// The driver is this node's event loop, and nothing is posted
+			// to a closed node.
+			n.release()
+		}
 	})
 	n.wg.Wait()
 	return nil
+}
+
+// release hands a receiver rank's message buffer back to the pool for
+// the next session in the process (event loop, at shutdown).
+func (n *Node) release() {
+	if r, ok := n.ep.(*core.Receiver); ok {
+		r.Release()
+	}
 }
 
 // post runs fn on the event loop (no-op after Close). In driven mode
 // the "event loop" is the loopback driver: fn goes to the network's
 // inbox and runs when the driver next drains it.
 func (n *Node) post(fn func()) {
+	if n.driven == nil {
+		n.push(work{fn: fn})
+		return
+	}
+	select {
+	case <-n.closing:
+	default:
+		n.driven.enqueue(loopWork{fn: fn})
+	}
+}
+
+// push queues w on a UDP node's event loop, blocking while the loop is
+// full (no-op after Close).
+func (n *Node) push(w work) {
 	select {
 	case <-n.closing:
 		return
 	default:
 	}
-	if n.driven != nil {
-		n.driven.enqueue(loopWork{fn: fn})
-		return
-	}
 	select {
-	case n.loop <- fn:
+	case n.loop <- w:
 	case <-n.closing:
 	}
 }
 
+// run executes one unit of event-loop work, returning a lent datagram's
+// buffer to the free list once onWire is done with it. Each unit is
+// timed: the sum is the node's protocol-engine CPU occupancy — the live
+// counterpart of the simulator's sender-busy measurement (ACK implosion
+// shows up here first).
+func (n *Node) run(w work) {
+	t0 := time.Now()
+	if w.fn != nil {
+		w.fn()
+	} else {
+		n.onWire(w.frame, w.src)
+		n.rx.put(w.frame)
+	}
+	n.mx.AddSenderBusy(time.Since(t0))
+}
+
 func (n *Node) runLoop() {
 	defer n.wg.Done()
-	// run times each callback: the sum is the node's protocol-engine
-	// CPU occupancy — the live counterpart of the simulator's
-	// sender-busy measurement (ACK implosion shows up here first).
-	run := func(fn func()) {
-		t0 := time.Now()
-		fn()
-		n.mx.AddSenderBusy(time.Since(t0))
-	}
 	for {
 		select {
-		case fn := <-n.loop:
-			run(fn)
+		case w := <-n.loop:
+			n.run(w)
 		case <-n.closing:
-			// Drain whatever is queued, then stop timers.
+			// Drain whatever is queued, stop timers, release buffers.
 			for {
 				select {
-				case fn := <-n.loop:
-					run(fn)
+				case w := <-n.loop:
+					n.run(w)
 				default:
 					for _, t := range n.timers {
 						t.Stop()
 					}
+					n.release()
 					return
 				}
 			}
@@ -360,7 +430,7 @@ func (n *Node) trace(dir trace.Dir, peer int, p *packet.Packet) {
 }
 
 // onWire decodes and dispatches one received datagram (event loop).
-func (n *Node) onWire(frame []byte, src *net.UDPAddr) {
+func (n *Node) onWire(frame []byte, src netip.AddrPort) {
 	// A frame failing any decode guard was damaged in flight or is
 	// stray traffic on the port; the codec counts it and it is dropped
 	// whole — no inner packet of a corrupt carrier reaches the endpoint.
@@ -370,17 +440,20 @@ func (n *Node) onWire(frame []byte, src *net.UDPAddr) {
 
 // onPacket dispatches one decoded logical packet (event loop). A v2
 // carrier frame lands here once per inner packet.
-func (n *Node) onPacket(p *packet.Packet, src *net.UDPAddr) {
+func (n *Node) onPacket(p *packet.Packet, src netip.AddrPort) {
 	from := core.NodeID(p.Src)
 	if from == n.cfg.Rank {
-		return // our own multicast looped back
+		// Our own rank. A UDP reader drops our looped-back frames whole;
+		// this catches what an outer header cannot show, a carrier's
+		// inner packets.
+		return
 	}
 	if int(from) > n.cfg.Protocol.NumReceivers {
 		return
 	}
-	// Every packet teaches us its sender's unicast address and proves
-	// the peer alive.
-	n.learn(from, src)
+	// Every packet proves the peer alive and may teach an unknown
+	// peer's unicast address; only a hello may change a known one.
+	n.learn(from, src, p.Type == packet.TypeHello)
 	n.lastSeen[from] = n.clk.Now()
 	n.mx.CountRecv(p.Type)
 	n.trace(trace.Recv, int(from), p)
@@ -406,9 +479,15 @@ func (n *Node) onPacket(p *packet.Packet, src *net.UDPAddr) {
 	}
 }
 
-func (n *Node) learn(id core.NodeID, addr *net.UDPAddr) {
+// learn records id's unicast address. The first packet heard from a
+// peer teaches it, whatever its type — data may arrive before the
+// peer's first hello — but a known address changes only on a hello: a
+// peer announces a new address (a restarted process) in hellos, while
+// any other packet naming a known rank from elsewhere is stray or
+// spoofed and must not re-point its unicast traffic.
+func (n *Node) learn(id core.NodeID, addr netip.AddrPort, hello bool) {
 	old, ok := n.addrs[id]
-	if ok && old.IP.Equal(addr.IP) && old.Port == addr.Port {
+	if ok && (old == addr || !hello) {
 		return
 	}
 	n.addrs[id] = addr
@@ -622,6 +701,8 @@ func (n *Node) Leave() {
 }
 
 // Recv returns the next fully delivered message on a receiver node.
+// The node queues up to 16 messages nobody has received; past that it
+// drops the oldest and counts it in Metrics().RecvQEvictions.
 func (n *Node) Recv(ctx context.Context) ([]byte, error) {
 	if n.cfg.Rank == core.SenderID {
 		return nil, errors.New("live: Recv on the sender rank")

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +50,7 @@ type LoopNet struct {
 	cfg   LoopConfig
 	sim   *sim.Simulator
 	rand  *rng.Rand
-	group *net.UDPAddr
+	group netip.AddrPort
 
 	// inbox is the cross-goroutine post queue: nodes enqueue event-loop
 	// work here and the driver drains it between simulator events, so
@@ -78,7 +79,7 @@ type loopWork struct {
 type loopDatagram struct {
 	to   *loopPort
 	wire []byte
-	src  *net.UDPAddr
+	src  netip.AddrPort
 }
 
 // NewLoopNet creates an empty loopback network.
@@ -92,7 +93,7 @@ func NewLoopNet(cfg LoopConfig) *LoopNet {
 		rand: rng.New(rng.Mix(cfg.Seed, 0x4C4F4F50)), // "LOOP"
 		// A synthetic group address: never touches a real socket, but
 		// keeps the node's multicast/unicast addressing logic intact.
-		group: &net.UDPAddr{IP: net.IPv4(239, 255, 77, 1), Port: 7777},
+		group: netip.AddrPortFrom(netip.AddrFrom4([4]byte{239, 255, 77, 1}), 7777),
 	}
 }
 
@@ -113,7 +114,7 @@ func (ln *LoopNet) Node(cfg Config) (*Node, error) {
 	port := &loopPort{
 		ln:          ln,
 		n:           n,
-		addr:        &net.UDPAddr{IP: net.IPv4(127, 0, 9, 1), Port: 20000 + int(cfg.Rank)},
+		addr:        netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 9, 1}), 20000+uint16(cfg.Rank)),
 		lastArrival: make(map[*loopPort]time.Duration),
 	}
 	n.tr = port
@@ -234,26 +235,26 @@ func isHelloWire(wire []byte) bool {
 type loopPort struct {
 	ln     *LoopNet
 	n      *Node
-	addr   *net.UDPAddr
+	addr   netip.AddrPort
 	closed bool
 	// lastArrival tracks the latest scheduled delivery per destination,
 	// enforcing the per-path FIFO contract under jitter.
 	lastArrival map[*loopPort]time.Duration
 }
 
-func (p *loopPort) LocalAddr() *net.UDPAddr { return p.addr }
+func (p *loopPort) LocalAddr() *net.UDPAddr { return net.UDPAddrFromAddrPort(p.addr) }
 
 func (p *loopPort) Close() { p.closed = true }
 
-func (p *loopPort) WriteTo(b []byte, addr *net.UDPAddr) {
+func (p *loopPort) WriteTo(b []byte, addr netip.AddrPort) {
 	if p.closed {
 		return
 	}
 	ln := p.ln
-	if addr.Port == ln.group.Port && addr.IP.Equal(ln.group.IP) {
+	if addr == ln.group {
 		// Multicast: fan out to every other attached port. No loopback
-		// to self — onWire would discard it anyway, exactly as the UDP
-		// path discards its own looped-back multicast.
+		// to self — the node would discard it anyway, as a UDP reader
+		// drops its own looped-back multicast.
 		for _, q := range ln.ports {
 			if q != p {
 				ln.send(p, q, b)
@@ -262,7 +263,7 @@ func (p *loopPort) WriteTo(b []byte, addr *net.UDPAddr) {
 		return
 	}
 	for _, q := range ln.ports {
-		if addr.Port == q.addr.Port && addr.IP.Equal(q.addr.IP) {
+		if addr == q.addr {
 			ln.send(p, q, b)
 			return
 		}

@@ -1,15 +1,19 @@
 package live
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
 
 	"rmcast/internal/core"
+	"rmcast/internal/packet"
 )
 
 // digestLoopResult fingerprints everything a loopback run observably
@@ -310,9 +314,9 @@ func TestLoopbackGarbageCountsCorrupt(t *testing.T) {
 		rcv := nodes[1]
 		before := rcv.Metrics()
 		garbage := [][]byte{{}, []byte("not a frame at all"), {0xA7, 1, 0xFF}, {0xA7, 2, 3, 0, 0, 0}}
-		ln.At(2*time.Millisecond, func() {
+		ln.At(2*time.Millisecond, func() { // on the driver, which is the nodes' event loop
 			for _, g := range garbage {
-				rcv.deliverWire(g, nodes[0].LocalAddr())
+				rcv.onWire(g, nodes[0].LocalAddr().AddrPort())
 			}
 		})
 		ln.Run(3 * time.Millisecond)
@@ -345,4 +349,159 @@ func TestLoopbackNodeRefusesBadConfig(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runUntil drives ln in 10 ms slices until done is set or 5 s of
+// virtual time have passed.
+func runUntil(ln *LoopNet, done *bool) {
+	for deadline := ln.Now() + 5*time.Second; !*done && ln.Now() < deadline; {
+		ln.Run(ln.Now() + 10*time.Millisecond)
+	}
+}
+
+// TestLoopbackRecvQEvictions: a receiver whose application never calls
+// Recv keeps the newest 16 messages and counts every one it evicted.
+func TestLoopbackRecvQEvictions(t *testing.T) {
+	const msgs = 20
+	ln := NewLoopNet(LoopConfig{Seed: 5})
+	pcfg := core.Config{Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: 1000, WindowSize: 4}
+	var nodes []*Node
+	for r := 0; r <= 1; r++ {
+		n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg, HelloInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	for i := 0; i < msgs; i++ {
+		done := false
+		var sendErr error
+		nodes[0].startSend(loopPattern(3000), func(err error) { done, sendErr = true, err })
+		runUntil(ln, &done)
+		if !done || sendErr != nil {
+			t.Fatalf("message %d: done=%v err=%v", i, done, sendErr)
+		}
+	}
+	rcv := nodes[1]
+	if got := rcv.Metrics().RecvQEvictions; got != 4 {
+		t.Errorf("recvq_evictions = %d, want 4", got)
+	}
+	if got := len(rcv.recvQ); got != cap(rcv.recvQ) {
+		t.Errorf("receive queue holds %d messages, want a full %d", got, cap(rcv.recvQ))
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
+// TestLoopbackSpoofedFrameKeepsAddress: a data or ack frame with a
+// valid header that names a known rank from a new address does not
+// re-point that rank's unicast traffic, and the transfer in flight
+// completes.
+func TestLoopbackSpoofedFrameKeepsAddress(t *testing.T) {
+	ln := NewLoopNet(LoopConfig{Seed: 9})
+	pcfg := core.Config{Protocol: core.ProtoACK, NumReceivers: 2, PacketSize: 1000, WindowSize: 4}
+	delivered := 0
+	var nodes []*Node
+	for r := 0; r <= 2; r++ {
+		n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg, HelloInterval: 5 * time.Millisecond,
+			OnDeliver: func(time.Duration, []byte) { delivered++ }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	ln.Run(time.Millisecond) // discovery
+	known := make([]map[core.NodeID]netip.AddrPort, len(nodes))
+	for i, n := range nodes {
+		known[i] = maps.Clone(n.addrs)
+		if len(n.addrs) != len(nodes)-1 {
+			t.Fatalf("rank %d knows %d peers after discovery, want %d", i, len(n.addrs), len(nodes)-1)
+		}
+	}
+	spoof := netip.MustParseAddrPort("127.0.9.200:31337")
+	done := false
+	var sendErr error
+	nodes[0].startSend(loopPattern(50000), func(err error) { done, sendErr = true, err })
+	ln.At(ln.Now()+500*time.Microsecond, func() { // on the driver, which is the nodes' event loop
+		nodes[0].onWire((&packet.Packet{Type: packet.TypeAck, Src: 1, MsgID: 0xBAD, Seq: 7}).Encode(), spoof)
+		nodes[1].onWire((&packet.Packet{Type: packet.TypeData, Src: 0, MsgID: 0xBAD, Payload: []byte("x")}).Encode(), spoof)
+		for i, n := range nodes {
+			if !maps.Equal(n.addrs, known[i]) {
+				t.Errorf("rank %d re-pointed a peer on a spoofed frame: %v, was %v", i, n.addrs, known[i])
+			}
+		}
+	})
+	runUntil(ln, &done)
+	if !done || sendErr != nil || delivered != 2 {
+		t.Fatalf("transfer after spoofing: done=%v err=%v deliveries=%d", done, sendErr, delivered)
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
+// TestCloseReleasesReceiver: Close hands a receiver rank's message
+// buffer back, over loopback and over UDP, so the finished session is
+// inactive — a late duplicate is dropped without being examined — and
+// a second Close changes nothing.
+func TestCloseReleasesReceiver(t *testing.T) {
+	// probe feeds the receiver a duplicate of its session's first data
+	// packet and reports whether it was examined as one.
+	probe := func(n *Node) bool {
+		r := n.ep.(*core.Receiver)
+		before := r.Stats().Duplicates
+		r.OnPacket(core.SenderID, &packet.Packet{Type: packet.TypeData, MsgID: n.curMsgID})
+		return r.Stats().Duplicates > before
+	}
+	check := func(t *testing.T, closed, open *Node) {
+		t.Helper()
+		closed.Close()
+		if probe(closed) {
+			t.Error("a closed receiver still holds its session")
+		}
+		closed.Close()
+		if probe(closed) {
+			t.Error("a second Close revived the session")
+		}
+		if open != nil && !probe(open) {
+			t.Error("the probe does not detect a live session")
+		}
+	}
+	t.Run("loopback", func(t *testing.T) {
+		ln := NewLoopNet(LoopConfig{Seed: 3})
+		pcfg := core.Config{Protocol: core.ProtoACK, NumReceivers: 2, PacketSize: 1000, WindowSize: 4}
+		var nodes []*Node
+		for r := 0; r <= 2; r++ {
+			n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg, HelloInterval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		done := false
+		nodes[0].startSend(loopPattern(5000), func(error) { done = true })
+		runUntil(ln, &done)
+		if !done {
+			t.Fatal("transfer did not complete")
+		}
+		check(t, nodes[1], nodes[2])
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	t.Run("udp", func(t *testing.T) {
+		multicastAvailable(t)
+		pcfg := core.Config{Protocol: core.ProtoACK, NumReceivers: 1, PacketSize: 1000, WindowSize: 4}
+		sender, receivers := liveSession(t, pcfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := sender.Send(ctx, livePattern(5000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := receivers[0].Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check(t, receivers[0], nil) // Close has stopped the loop: the test owns the node now
+	})
 }

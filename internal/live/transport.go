@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
+
+	"rmcast/internal/metrics"
 )
 
 // This file defines the two seams that separate a Node's protocol logic
@@ -42,7 +45,7 @@ type nodeClock interface {
 type transport interface {
 	// WriteTo sends one encoded datagram to addr — a peer's unicast
 	// address or the group address, which fans out to every member.
-	WriteTo(b []byte, addr *net.UDPAddr)
+	WriteTo(b []byte, addr netip.AddrPort)
 	// LocalAddr is the node's unicast source address.
 	LocalAddr() *net.UDPAddr
 	// Close stops inbound delivery and releases resources. Idempotent;
@@ -81,16 +84,23 @@ func (c realClock) Tick(d time.Duration, fn func()) (stop func()) {
 // to the group plus a unicast socket that sources every transmission,
 // so peers learn a node's unicast address from any packet it sends.
 type udpTransport struct {
-	mconn   *net.UDPConn // multicast receive
-	uconn   *net.UDPConn // unicast send+receive; source of all packets
-	deliver func(wire []byte, src *net.UDPAddr)
+	mconn *net.UDPConn // multicast receive
+	uconn *net.UDPConn // unicast send+receive; source of all packets
+	// deliver takes one datagram from a reader: frame is a borrow of the
+	// reader's scratch, valid only during the call.
+	deliver func(frame []byte, src netip.AddrPort)
+	mx      *metrics.Session // counts refused sends
 	closing chan struct{}
 	wg      sync.WaitGroup
 	once    sync.Once
 }
 
-func newUDPTransport(group *net.UDPAddr, ifi *net.Interface, readBuffer int,
-	deliver func([]byte, *net.UDPAddr)) (*udpTransport, error) {
+// setReadBuffer sizes a socket's kernel receive buffer; a variable so
+// that tests can make it fail.
+var setReadBuffer = (*net.UDPConn).SetReadBuffer
+
+func newUDPTransport(group *net.UDPAddr, ifi *net.Interface, readBuffer int, mx *metrics.Session,
+	deliver func([]byte, netip.AddrPort)) (*udpTransport, error) {
 	mconn, err := net.ListenMulticastUDP("udp4", ifi, group)
 	if err != nil {
 		return nil, fmt.Errorf("live: joining %v: %w", group, err)
@@ -100,12 +110,20 @@ func newUDPTransport(group *net.UDPAddr, ifi *net.Interface, readBuffer int,
 		mconn.Close()
 		return nil, fmt.Errorf("live: unicast socket: %w", err)
 	}
-	_ = mconn.SetReadBuffer(readBuffer)
-	_ = uconn.SetReadBuffer(readBuffer)
+	// Linux clamps an oversized request to rmem_max without an error,
+	// so a failure here is a real one.
+	for _, c := range []*net.UDPConn{mconn, uconn} {
+		if err := setReadBuffer(c, readBuffer); err != nil {
+			mconn.Close()
+			uconn.Close()
+			return nil, fmt.Errorf("live: receive buffer of %d bytes: %w", readBuffer, err)
+		}
+	}
 	tr := &udpTransport{
 		mconn:   mconn,
 		uconn:   uconn,
 		deliver: deliver,
+		mx:      mx,
 		closing: make(chan struct{}),
 	}
 	tr.wg.Add(2)
@@ -114,8 +132,12 @@ func newUDPTransport(group *net.UDPAddr, ifi *net.Interface, readBuffer int,
 	return tr, nil
 }
 
-func (tr *udpTransport) WriteTo(b []byte, addr *net.UDPAddr) {
-	tr.uconn.WriteToUDP(b, addr)
+// WriteTo sends b from the unicast socket. A datagram the socket
+// refuses is lost like one dropped on the wire, and counted.
+func (tr *udpTransport) WriteTo(b []byte, addr netip.AddrPort) {
+	if _, err := tr.uconn.WriteToUDPAddrPort(b, addr); err != nil {
+		tr.mx.CountSendError()
+	}
 }
 
 func (tr *udpTransport) LocalAddr() *net.UDPAddr {
@@ -133,12 +155,14 @@ func (tr *udpTransport) Close() {
 	tr.wg.Wait()
 }
 
-// reader pumps one socket into the deliver callback.
+// reader pumps one socket into the deliver callback, reading every
+// datagram into one 64 KiB scratch buffer; deliver copies out what it
+// keeps.
 func (tr *udpTransport) reader(conn *net.UDPConn) {
 	defer tr.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		nr, src, err := conn.ReadFromUDP(buf)
+		nr, src, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-tr.closing:
@@ -150,9 +174,43 @@ func (tr *udpTransport) reader(conn *net.UDPConn) {
 			}
 			continue
 		}
-		wire := make([]byte, nr)
-		copy(wire, buf[:nr])
-		srcAddr := &net.UDPAddr{IP: append(net.IP(nil), src.IP...), Port: src.Port}
-		tr.deliver(wire, srcAddr)
+		tr.deliver(buf[:nr], src)
 	}
+}
+
+// rxFree is a node's free list of reader buffers: LIFO, so the buffer
+// handed out next is the one just returned, still in cache. The readers
+// take buffers and the event loop returns them, so the list never holds
+// more buffers than were in flight at once — at most the loop channel's
+// capacity plus one per reader and one in the loop's hands — and each
+// is no larger than a datagram it carried.
+type rxFree struct {
+	mu   sync.Mutex
+	list [][]byte
+}
+
+// get returns an n-byte buffer: the most recently returned one when it
+// is large enough, else a fresh one. A popped buffer too small for the
+// datagram is dropped rather than kept, so the list converges on
+// buffers of the largest frame in steady use.
+func (f *rxFree) get(n int) []byte {
+	var b []byte
+	f.mu.Lock()
+	if k := len(f.list); k > 0 {
+		b = f.list[k-1]
+		f.list[k-1] = nil
+		f.list = f.list[:k-1]
+	}
+	f.mu.Unlock()
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// put returns b to the list. The caller must not touch b afterwards.
+func (f *rxFree) put(b []byte) {
+	f.mu.Lock()
+	f.list = append(f.list, b)
+	f.mu.Unlock()
 }

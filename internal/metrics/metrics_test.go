@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +36,8 @@ func TestNilSafety(t *testing.T) {
 	sess.CountNak()
 	sess.CountEjection()
 	sess.AddOverflowDrops(2)
+	sess.CountSendError()
+	sess.CountRecvQEviction()
 	sess.AddSenderBusy(time.Second)
 	sess.SetSenderBusy(time.Second)
 	sess.ObserveCompletion(1, time.Second)
@@ -225,5 +228,46 @@ func TestMetricsFprint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLiveTransportCounters: send errors and receive-queue evictions
+// show in the snapshot, the dump and a merge when they happened, and
+// leave a simulator's JSON form and dump unchanged when they did not.
+func TestLiveTransportCounters(t *testing.T) {
+	quiet := NewSession().Snapshot()
+	js, err := json.Marshal(quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := quiet.Fprint(&dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"send_errors", "recvq_evictions"} {
+		if strings.Contains(string(js), name) || strings.Contains(dump.String(), name) {
+			t.Errorf("a session that never counted %s shows it:\n%s\n%s", name, js, dump.String())
+		}
+	}
+
+	s := NewSession()
+	s.CountSendError()
+	s.CountRecvQEviction()
+	s.CountRecvQEviction()
+	m := s.Snapshot()
+	if m.SendErrors != 1 || m.RecvQEvictions != 2 {
+		t.Fatalf("snapshot: send_errors=%d recvq_evictions=%d, want 1 and 2", m.SendErrors, m.RecvQEvictions)
+	}
+	dump.Reset()
+	if err := m.Fprint(&dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"send_errors                      1\n", "recvq_evictions                  2\n"} {
+		if !strings.Contains(dump.String(), want) {
+			t.Errorf("dump missing %q:\n%s", want, dump.String())
+		}
+	}
+	if got := Merge(m, m); got.SendErrors != 2 || got.RecvQEvictions != 4 {
+		t.Errorf("merge: send_errors=%d recvq_evictions=%d, want 2 and 4", got.SendErrors, got.RecvQEvictions)
 	}
 }

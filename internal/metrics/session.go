@@ -31,6 +31,9 @@ const numTypes = int(packet.TypeLeft) + 1
 //     to link-level corruption.
 //   - SenderBusy is the sender host's serial CPU occupancy, the
 //     quantity that saturates first under ACK implosion.
+//   - SendErrors and RecvQEvictions are the live transport's own
+//     losses: datagrams the socket refused to send, and delivered
+//     messages dropped because the application did not consume them.
 //   - Completion is each receiver's time-to-full-message, the
 //     distribution behind the per-receiver latency figures.
 type Session struct {
@@ -43,6 +46,8 @@ type Session struct {
 	naksSent        *Counter
 	ejections       *Counter
 	overflowDrops   *Counter
+	sendErrors      *Counter
+	recvQEvictions  *Counter
 	senderBusy      *Gauge // nanoseconds
 	srtt            *Gauge // nanoseconds
 
@@ -77,6 +82,8 @@ func NewSession() *Session {
 	s.naksSent = s.reg.Counter("naks_sent")
 	s.ejections = s.reg.Counter("ejections")
 	s.overflowDrops = s.reg.Counter("buffer_overflow_drops")
+	s.sendErrors = s.reg.Counter("send_errors")
+	s.recvQEvictions = s.reg.Counter("recvq_evictions")
 	s.wireFrames = s.reg.Counter("wire_frames")
 	s.wireBytes = s.reg.Counter("wire_bytes")
 	s.wireRawBytes = s.reg.Counter("wire_raw_bytes")
@@ -176,6 +183,21 @@ func (s *Session) AddOverflowDrops(n uint64) {
 	}
 }
 
+// CountSendError records one datagram the socket refused to send.
+func (s *Session) CountSendError() {
+	if s != nil {
+		s.sendErrors.Inc()
+	}
+}
+
+// CountRecvQEviction records one delivered message dropped, oldest
+// first, from a full receive queue nobody was reading.
+func (s *Session) CountRecvQEviction() {
+	if s != nil {
+		s.recvQEvictions.Inc()
+	}
+}
+
 // AddSenderBusy accumulates sender CPU-busy time.
 func (s *Session) AddSenderBusy(d time.Duration) {
 	if s != nil {
@@ -225,6 +247,11 @@ type Metrics struct {
 	Ejections           uint64 `json:"ejections"`
 	BufferOverflowDrops uint64 `json:"buffer_overflow_drops"`
 
+	// Live transport losses; zero, and absent from the JSON form, on
+	// the simulator.
+	SendErrors     uint64 `json:"send_errors,omitempty"`
+	RecvQEvictions uint64 `json:"recvq_evictions,omitempty"`
+
 	// Wire accounting (wire format v2, or v1 sessions that opt into
 	// frame counting). All zero — and absent from the JSON form, keeping
 	// v1 golden digests byte-identical — unless a transport counts
@@ -269,6 +296,8 @@ func (s *Session) Snapshot() Metrics {
 	m.NaksSent = s.naksSent.Load()
 	m.Ejections = s.ejections.Load()
 	m.BufferOverflowDrops = s.overflowDrops.Load()
+	m.SendErrors = s.sendErrors.Load()
+	m.RecvQEvictions = s.recvQEvictions.Load()
 	m.WireFrames = s.wireFrames.Load()
 	m.WireBytes = s.wireBytes.Load()
 	m.WireRawBytes = s.wireRawBytes.Load()
@@ -334,6 +363,12 @@ func (m Metrics) Fprint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if m.SendErrors > 0 || m.RecvQEvictions > 0 {
+		if _, err := fmt.Fprintf(w, "send_errors                      %d\nrecvq_evictions                  %d\n",
+			m.SendErrors, m.RecvQEvictions); err != nil {
+			return err
+		}
+	}
 	if m.WireFrames > 0 || m.CorruptFrames > 0 {
 		if _, err := fmt.Fprintf(w,
 			"wire_frames                      %d\nwire_bytes                       %d (raw %d)\ncorrupt_frames                   %d\ncompressed_frames                %d\ncarrier_frames                   %d (coalesced %d)\n",
@@ -373,6 +408,8 @@ func Merge(ms ...Metrics) Metrics {
 		out.NaksSent += m.NaksSent
 		out.Ejections += m.Ejections
 		out.BufferOverflowDrops += m.BufferOverflowDrops
+		out.SendErrors += m.SendErrors
+		out.RecvQEvictions += m.RecvQEvictions
 		out.WireFrames += m.WireFrames
 		out.WireBytes += m.WireBytes
 		out.WireRawBytes += m.WireRawBytes

@@ -230,6 +230,18 @@ func DecodeInto(p *Packet, b []byte) error {
 	return nil
 }
 
+// PeekSrc reads the Src field of an encoded v1 or v2 frame without
+// decoding it. Guards run before the field is trusted: length, magic,
+// version. ok is false for anything else; such a frame is left to the
+// strict decoder to reject and count. A v2 carrier's outer header
+// echoes its first inner packet, so it answers for the sender of all.
+func PeekSrc(b []byte) (src uint16, ok bool) {
+	if len(b) < HeaderLen || b[0] != Magic || (b[1] != Version && b[1] != Version2) {
+		return 0, false
+	}
+	return binary.BigEndian.Uint16(b[16:18]), true
+}
+
 // setHeader reads the fixed header fields (v1 and v2 share the layout)
 // from b[:HeaderLen].
 func (p *Packet) setHeader(b []byte) {

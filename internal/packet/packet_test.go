@@ -125,3 +125,31 @@ func TestDecodeNeverPanicsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeekSrc: the source rank is read from v1 and v2 frames alike, and
+// only after the length, magic and version guards pass.
+func TestPeekSrc(t *testing.T) {
+	p := Packet{Type: TypeAck, Src: 513, MsgID: 7, Seq: 3}
+	v1 := p.Encode()
+	v2, _ := EncodeV2(&p, DefaultCompressThreshold)
+	badMagic := append([]byte(nil), v1...)
+	badMagic[0] ^= 0xFF
+	badVersion := append([]byte(nil), v1...)
+	badVersion[1] = 9
+	for _, c := range []struct {
+		what  string
+		frame []byte
+		ok    bool
+	}{
+		{"v1", v1, true},
+		{"v2", v2, true},
+		{"truncated", v1[:HeaderLen-1], false},
+		{"bad magic", badMagic, false},
+		{"bad version", badVersion, false},
+	} {
+		src, ok := PeekSrc(c.frame)
+		if ok != c.ok || (ok && src != p.Src) {
+			t.Errorf("%s: PeekSrc = %d, %v; want %d, %v", c.what, src, ok, p.Src, c.ok)
+		}
+	}
+}
