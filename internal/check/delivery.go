@@ -127,7 +127,7 @@ func newCompletionChecker() *completionChecker {
 	return &completionChecker{violations: violations{name: "completion"}}
 }
 
-func (c *completionChecker) Begin(*RunInfo)       {}
+func (c *completionChecker) Begin(*RunInfo)      {}
 func (c *completionChecker) Observe(trace.Event) {}
 
 func (c *completionChecker) Finish(info *RunInfo) []Violation {

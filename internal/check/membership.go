@@ -36,12 +36,12 @@ type membershipChecker struct {
 	// events; without it, all membership traffic is spurious.
 	expectChurn bool
 
-	absent    map[core.NodeID]bool          // awaiting admission
-	joinBase  map[core.NodeID]uint32        // admitted joiners → announced base
+	absent     map[core.NodeID]bool          // awaiting admission
+	joinBase   map[core.NodeID]uint32        // admitted joiners → announced base
 	admittedAt map[core.NodeID]time.Duration // TypeJoined announcement time
-	joinOKAt  map[core.NodeID]time.Duration // node received its JoinOK
-	left      map[core.NodeID]time.Duration // granted departures
-	ejected   map[core.NodeID]bool
+	joinOKAt   map[core.NodeID]time.Duration // node received its JoinOK
+	left       map[core.NodeID]time.Duration // granted departures
+	ejected    map[core.NodeID]bool
 	// have tracks post-admission reception coverage per joiner: the
 	// exactly-once consistent-suffix evidence a delivery must rest on.
 	have map[core.NodeID][]bool

@@ -117,8 +117,10 @@ type Config struct {
 	// RxMangle, when non-nil, intercepts every frame arriving at a node
 	// before decoding: it receives the destination rank and the wire
 	// bytes and returns the frame to decode instead, or nil to drop it.
-	// The input slice may be shared with other receivers of the same
-	// multicast, so the hook must not mutate it in place — corruption
+	// The input is valid only during the call — it is the sender's
+	// pooled buffer, recycled once every receiver is done with it — and
+	// may be shared with other receivers of the same multicast, so the
+	// hook must neither keep nor mutate it in place: corruption
 	// injectors return a modified copy.
 	RxMangle func(rank int, frame []byte) []byte
 	// CountWire opts a v1 session into per-frame wire accounting

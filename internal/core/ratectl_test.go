@@ -67,10 +67,10 @@ func TestRateControlNormalize(t *testing.T) {
 		bad := []RateControl{
 			{Enabled: true, MaxWindow: nak.WindowSize + 1}, // beyond receiver buffers
 			{Enabled: true, MaxWindow: -1},
-			{Enabled: true, MaxWindow: 4},                 // below the NAK floor (PollInterval 6)
-			{Enabled: true, MinWindow: 2},                 // below the NAK floor
-			{Enabled: true, MinWindow: 8, MaxWindow: 7},   // min > max
-			{Enabled: true, Beta: 1},                      // Beta must be in (0,1)
+			{Enabled: true, MaxWindow: 4},               // below the NAK floor (PollInterval 6)
+			{Enabled: true, MinWindow: 2},               // below the NAK floor
+			{Enabled: true, MinWindow: 8, MaxWindow: 7}, // min > max
+			{Enabled: true, Beta: 1},                    // Beta must be in (0,1)
 			{Enabled: true, Beta: -0.5},
 			{Enabled: true, Increase: -1},
 		}

@@ -113,8 +113,8 @@ type Sender struct {
 	// Failure-detection state (Config.MaxRetries > 0). dead and failed
 	// persist across messages: an ejected receiver stays out of the
 	// membership for the sender's lifetime.
-	dead       map[NodeID]bool
-	failed     []NodeID
+	dead   map[NodeID]bool
+	failed []NodeID
 	// Dynamic membership. absent holds ranks that have not joined yet
 	// (Config.Absent minus later admissions); out is the union dead ∪
 	// absent — the set excluded from chain splices and roll calls. left
@@ -130,7 +130,7 @@ type Sender struct {
 	// head's in-flight pre-splice aggregates cannot vouch for it) until
 	// its own cumulative ack reaches the mark, past everything that could
 	// have been in flight at admission.
-	treeCatch map[NodeID]uint32
+	treeCatch  map[NodeID]uint32
 	failRounds int // consecutive timeout rounds without window progress
 	probing    bool
 	suspects   map[NodeID]bool

@@ -1,6 +1,7 @@
 package ipnet
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -85,22 +86,169 @@ func TestFragmentedSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDeliveredPayloadAliasesSenderBuffer pins the zero-copy contract:
-// a single-fragment datagram is delivered with its payload aliasing the
-// sender's buffer (which is why receivers must never retain or mutate
-// delivered slices).
-func TestDeliveredPayloadAliasesSenderBuffer(t *testing.T) {
-	r := newAllocRig(2)
+// TestMulticastSharesPooledBufferZeroAllocs pins the payload contract
+// of a single-fragment multicast: SendTo copies the payload once, into
+// a buffer from the sending host's free list; every receiver is handed
+// that same buffer and none copies it; the last to finish returns it,
+// so steady-state multicast allocates nothing.
+func TestMulticastSharesPooledBufferZeroAllocs(t *testing.T) {
+	r := newAllocRig(4)
+	g := Group(0)
+	var seen [4]*byte
+	for i, h := range r.hosts {
+		h.JoinGroup(g)
+		h.sockets[testPort].Close()
+		h.Bind(testPort, func(dg *Datagram) { seen[i] = &dg.Payload[0] })
+	}
 	payload := make([]byte, 100)
-	var aliased bool
-	r.hosts[1].sockets[testPort].Close()
-	r.hosts[1].Bind(testPort, func(dg *Datagram) {
-		aliased = len(dg.Payload) == len(payload) && &dg.Payload[0] == &payload[0]
-	})
-	r.hosts[0].sockets[testPort].SendTo(1, testPort, payload)
+	send := func() {
+		r.hosts[0].sockets[testPort].SendTo(g, testPort, payload)
+		r.s.Run()
+	}
+	check := func(when string) {
+		t.Helper()
+		free := r.hosts[0].payloadFree
+		if len(free) != 1 || free[0].refs != 0 {
+			t.Fatalf("%s: sender's free list holds %d buffers, want the one it sent from", when, len(free))
+		}
+		pooled := &free[0].b[0]
+		if pooled == &payload[0] {
+			t.Fatalf("%s: SendTo kept the caller's slice instead of copying it", when)
+		}
+		for i, p := range seen[1:] {
+			if p != pooled {
+				t.Fatalf("%s: receiver %d was not handed the sender's pooled buffer", when, i+1)
+			}
+		}
+	}
+	send()
+	check("first send")
+	seen = [4]*byte{}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("one-datagram multicast to 3 receivers allocated %.1f objects, want 0", allocs)
+	}
+	check("steady state")
+}
+
+// TestSendToCopiesPayload: a caller may overwrite its slice the moment
+// SendTo returns; receivers of a single-fragment multicast and of a
+// fragmented unicast still see the bytes as they were at the call.
+func TestSendToCopiesPayload(t *testing.T) {
+	r := newRig(t, 3, HostConfig{Costs: DefaultCosts()})
+	g := Group(0)
+	for _, h := range r.hosts {
+		h.JoinGroup(g)
+	}
+	small := bytes.Repeat([]byte("abc"), 100)
+	big := bytes.Repeat([]byte("0123456789"), 500)
+	want := [][]byte{append([]byte(nil), small...), append([]byte(nil), big...)}
+	sock := r.hosts[0].sockets[testPort]
+	sock.SendTo(g, testPort, small)
+	sock.SendTo(2, testPort, big)
+	for _, b := range [][]byte{small, big} {
+		for i := range b {
+			b[i] = 'x'
+		}
+	}
 	r.s.Run()
-	if !aliased {
-		t.Fatal("single-fragment delivery copied the payload; zero-copy fragmentation is broken")
+	if len(r.got[1]) != 1 || !bytes.Equal(r.got[1][0].Payload, want[0]) {
+		t.Fatalf("multicast receiver saw the caller's later write: %d datagrams", len(r.got[1]))
+	}
+	if len(r.got[2]) != 2 || !bytes.Equal(r.got[2][0].Payload, want[0]) || !bytes.Equal(r.got[2][1].Payload, want[1]) {
+		t.Fatalf("receiver saw the caller's later write: %d datagrams", len(r.got[2]))
+	}
+}
+
+// dropGate stands in for a stalled host's fault gate: every frame the
+// host sends dies there, reported as sent.
+type dropGate struct{}
+
+func (dropGate) Send(f *ethernet.Frame) bool   { f.Release(); return true }
+func (dropGate) Queued() int                   { return 0 }
+func (dropGate) DrainTime(n int) time.Duration { return 0 }
+
+// TestDiscardReturnsPayloadBuffer: on every path a datagram can die,
+// each payload buffer goes back to its sender's free list exactly once.
+// Each sender starts with as many buffers as it sends datagrams, so the
+// free list is that long again only if none leaked, and release panics
+// if a buffer is returned twice.
+func TestDiscardReturnsPayloadBuffer(t *testing.T) {
+	slow := DefaultCosts()
+	slow.RecvSyscall = 2 * time.Millisecond
+	var closedQueued bool
+	for name, c := range map[string]struct {
+		cfg     HostConfig
+		senders []int // hosts that each send `sends` datagrams to host 1
+		sends   int
+		size    int
+		setup   func(r *rig)
+		port    int // destination port; 0 means testPort
+		dropped func(r *rig) bool
+	}{
+		"socket-buffer overflow": {cfg: HostConfig{Costs: slow, RecvBuf: 4 << 10}, senders: []int{0}, sends: 20, size: 1000,
+			dropped: func(r *rig) bool { return r.hosts[1].Stats().SocketDrops > 0 }},
+		"no bound port": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0}, sends: 1, size: 100, port: testPort + 1,
+			dropped: func(r *rig) bool { return r.hosts[1].Stats().NoPortDrops == 1 }},
+		"switch-queue drop": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0, 2}, sends: 10, size: 1400,
+			setup: func(r *rig) {
+				r.sw.Port(1).SetOut(ethernet.NewTx(r.s, ethernet.TxConfig{Rate: ethernet.Rate100Mbps, QueueCap: 3000}, r.hosts[1]))
+			},
+			dropped: func(r *rig) bool { return findOutTx(r, 1).Stats().QueueDrops > 0 }},
+		"fault-gate drop": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0}, sends: 3, size: 5000,
+			setup:   func(r *rig) { r.hosts[0].SetTx(dropGate{}) },
+			dropped: func(r *rig) bool { return r.hosts[0].Stats().SentDatagrams == 3 && len(r.got[1]) == 0 }},
+		"reassembly timeout": {cfg: HostConfig{Costs: DefaultCosts(), ReasmTimeout: 50 * time.Millisecond}, senders: []int{0}, sends: 1, size: 10000,
+			setup: func(r *rig) {
+				n := 0
+				findOutTx(r, 1).DropFn = func(*ethernet.Frame) bool { n++; return n == 3 }
+			},
+			dropped: func(r *rig) bool { return r.hosts[1].Stats().ReasmDrops == 1 }},
+		"socket closed with datagrams queued": {cfg: HostConfig{Costs: slow}, senders: []int{0}, sends: 5, size: 100,
+			setup: func(r *rig) {
+				var sock *Socket
+				sock = r.hosts[1].BindBuf(testPort+2, 0, func(*Datagram) {
+					if closedQueued = len(sock.queue) > 0; closedQueued {
+						sock.Close()
+					}
+				})
+			},
+			port:    testPort + 2,
+			dropped: func(*rig) bool { return closedQueued }},
+	} {
+		r := newRig(t, 3, c.cfg)
+		if c.setup != nil {
+			c.setup(r)
+		}
+		port := c.port
+		if port == 0 {
+			port = testPort
+		}
+		for _, s := range c.senders {
+			for i := 0; i < c.sends; i++ {
+				h := r.hosts[s]
+				h.payloadFree = append(h.payloadFree, &payloadBuf{owner: h})
+			}
+		}
+		for i := 0; i < c.sends; i++ {
+			for _, s := range c.senders {
+				r.hosts[s].sockets[testPort].SendTo(1, port, make([]byte, c.size))
+			}
+		}
+		r.s.Run()
+		if !c.dropped(r) {
+			t.Fatalf("%s: the scenario dropped nothing", name)
+		}
+		for _, s := range c.senders {
+			free := r.hosts[s].payloadFree
+			if len(free) != c.sends {
+				t.Fatalf("%s: host %d's free list holds %d buffers after %d sends", name, s, len(free), c.sends)
+			}
+			for _, pb := range free {
+				if pb.refs != 0 {
+					t.Fatalf("%s: host %d has a free buffer with %d references", name, s, pb.refs)
+				}
+			}
+		}
 	}
 }
 

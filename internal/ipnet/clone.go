@@ -4,9 +4,10 @@ import "rmcast/internal/ethernet"
 
 // CloneFrame returns an unpooled deep copy of an in-flight IP fragment
 // frame. The clone shares nothing with the original: the fragment
-// struct is copied with its pool linkage cleared and the payload bytes
-// are duplicated, so the clone is garbage-collected and its
-// Retain/Release are no-ops (no free hook is installed).
+// struct is copied with its pool linkage (frame and payload buffer)
+// cleared and the payload bytes are duplicated, so the clone is
+// garbage-collected and its Retain/Release are no-ops (no free hook is
+// installed).
 //
 // This is the frame hand-off primitive for cross-shard links: the
 // sending shard releases the original back into its owner host's
@@ -21,6 +22,7 @@ func CloneFrame(f *ethernet.Frame) *ethernet.Frame {
 	cp := *frag
 	cp.tf = nil
 	cp.owner = nil
+	cp.pb = nil
 	cp.payload = append([]byte(nil), frag.payload...)
 	return &ethernet.Frame{
 		Src:       f.Src,

@@ -85,10 +85,39 @@ type txFrame struct {
 // send path and to socket handlers, plus a reusable byte buffer that the
 // receive path reassembles multi-fragment datagrams into. The buffer
 // keeps its capacity across recycles, so steady-state traffic of any
-// fixed size class reassembles with zero allocation.
+// fixed size class reassembles with zero allocation. pb, when set, is
+// the sent payload dg.Payload aliases, on the send path and for a
+// single-fragment datagram at a receiver; the datagram holds one
+// reference to it.
 type datagramBuf struct {
 	dg  Datagram
 	buf []byte
+	pb  *payloadBuf
+}
+
+// payloadBuf is the sending host's pooled copy of one datagram's
+// payload, shared by reference instead of copied again: SendTo's
+// datagram, each in-flight fragment frame and each receiver's queued
+// single-fragment datagram hold one reference, and the last release
+// returns the buffer to its owner's free list. b keeps its capacity
+// across recycles, so a host's buffers grow to the largest datagram it
+// sends and then stop allocating.
+type payloadBuf struct {
+	owner *Host
+	b     []byte
+	refs  int
+}
+
+func (pb *payloadBuf) retain() { pb.refs++ }
+
+func (pb *payloadBuf) release() {
+	pb.refs--
+	switch {
+	case pb.refs == 0:
+		pb.owner.payloadFree = append(pb.owner.payloadFree, pb)
+	case pb.refs < 0:
+		panic("ipnet: payload buffer released more often than retained")
+	}
 }
 
 // Host is one end host: a NIC, an IP input path with reassembly, UDP
@@ -118,9 +147,10 @@ type Host struct {
 	// is single-threaded, so these need no synchronization, survive GC
 	// (sync.Pool flushes would re-introduce steady-state allocation),
 	// and recycle deterministically.
-	frameFree []*txFrame
-	dgFree    []*datagramBuf
-	reasmFree []*reasmBuf
+	frameFree   []*txFrame
+	dgFree      []*datagramBuf
+	reasmFree   []*reasmBuf
+	payloadFree []*payloadBuf
 
 	stats HostStats
 }
@@ -193,6 +223,7 @@ func releaseTxFrame(f *ethernet.Frame) {
 	frag := f.Payload.(*fragment)
 	h := frag.owner
 	tf := frag.tf
+	frag.pb.release()
 	*tf = txFrame{}
 	h.frameFree = append(h.frameFree, tf)
 }
@@ -207,11 +238,31 @@ func (h *Host) getDatagram() *datagramBuf {
 	return &datagramBuf{}
 }
 
-// putDatagram recycles db. The header is cleared (it may alias payload
-// memory the pool must not pin) but buf keeps its capacity.
+// putDatagram recycles db, releasing its payload buffer reference. The
+// header is cleared (it may alias payload memory the pool must not pin)
+// but buf keeps its capacity.
 func (h *Host) putDatagram(db *datagramBuf) {
+	if db.pb != nil {
+		db.pb.release()
+		db.pb = nil
+	}
 	db.dg = Datagram{}
 	h.dgFree = append(h.dgFree, db)
+}
+
+// copyPayload copies p into a payload buffer from the free list, holding
+// one reference for the caller.
+func (h *Host) copyPayload(p []byte) *payloadBuf {
+	var pb *payloadBuf
+	if n := len(h.payloadFree) - 1; n >= 0 {
+		pb = h.payloadFree[n]
+		h.payloadFree = h.payloadFree[:n]
+	} else {
+		pb = &payloadBuf{owner: h}
+	}
+	pb.b = append(pb.b[:0], p...)
+	pb.refs = 1
+	return pb
 }
 
 // getReasm prepares a pooled reassembly buffer for frag's group.
@@ -363,9 +414,10 @@ func hostIPInput(a, b any) {
 }
 
 // ipInput consumes one fragment. A single-fragment datagram is delivered
-// with its payload aliasing the sender's buffer — zero copies end to
-// end. Multi-fragment groups are copied once, into the host's pooled
-// reassembly buffer at each fragment's datagram offset.
+// with its payload aliasing the sender's payload buffer, of which it
+// takes a reference — no receiver copies it. Multi-fragment groups are
+// copied once, into the host's pooled reassembly buffer at each
+// fragment's datagram offset.
 func (h *Host) ipInput(frag *fragment) {
 	if frag.count == 1 {
 		db := h.getDatagram()
@@ -373,6 +425,9 @@ func (h *Host) ipInput(frag *fragment) {
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
 			Payload: frag.payload,
+		}
+		if db.pb = frag.pb; db.pb != nil { // nil on a cross-shard clone
+			db.pb.retain()
 		}
 		h.deliver(db)
 		return
@@ -485,9 +540,10 @@ func (h *Host) drainOut() {
 }
 
 // transmit fragments one datagram onto the wire. Fragmentation copies no
-// bytes: every fragment's payload is a subslice of the datagram's own
-// payload buffer, and each frame carries the full datagram metadata so
-// reassembly works regardless of which fragments arrive (or die) first.
+// bytes: every fragment's payload is a subslice of the datagram's
+// payload buffer, each fragment holds a reference to it, and each frame
+// carries the full datagram metadata so reassembly works regardless of
+// which fragments arrive (or die) first.
 func (h *Host) transmit(db *datagramBuf) {
 	dg := &db.dg
 	mc := dg.Dst.IsMulticast()
@@ -514,8 +570,9 @@ func (h *Host) transmit(db *datagramBuf) {
 		}
 		hi := i*FragPayload + chunk - UDPHeader
 		tf := h.getTxFrame()
+		db.pb.retain()
 		tf.frag = fragment{
-			tf: tf, owner: h,
+			tf: tf, owner: h, pb: db.pb,
 			src: h.cfg.Addr, dst: dg.Dst,
 			srcPort: dg.SrcPort, dstPort: dg.DstPort,
 			id: id, index: i, count: count, total: total,

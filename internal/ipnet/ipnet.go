@@ -84,15 +84,17 @@ type Datagram struct {
 }
 
 // fragment is the ethernet.Frame payload: one IP fragment of a datagram.
-// payload is a subslice of the sender's datagram payload — fragmentation
-// never copies bytes — and every fragment carries the complete datagram
-// metadata, because with loss and reordering any fragment can be the
-// first (or only) one a receiver sees. Fragments live inside pooled
-// txFrames; tf and owner route the frame back to the sending host's
-// freelist when the last reference is released.
+// payload is a subslice of the sender's payload buffer pb —
+// fragmentation never copies bytes — and every fragment carries the
+// complete datagram metadata, because with loss and reordering any
+// fragment can be the first (or only) one a receiver sees. Fragments
+// live inside pooled txFrames; tf and owner route the frame back to the
+// sending host's freelist when the last reference is released, and the
+// frame's reference to pb goes with it.
 type fragment struct {
 	tf      *txFrame
 	owner   *Host
+	pb      *payloadBuf
 	src     Addr // sending host (also the reassembly key)
 	dst     Addr
 	srcPort int
@@ -101,7 +103,7 @@ type fragment struct {
 	index   int
 	count   int
 	total   int    // payload bytes of the whole datagram
-	payload []byte // this fragment's subslice of the sender's payload
+	payload []byte // this fragment's subslice of pb
 }
 
 // CostModel captures per-host processing costs. Per-byte costs are in

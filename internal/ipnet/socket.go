@@ -21,8 +21,10 @@ type Socket struct {
 // handler runs (on the host CPU) for every datagram the application
 // reads. The datagram and its payload are only valid for the duration of
 // the call: both are pooled and recycled as soon as the handler returns,
-// so a handler that needs the bytes must copy them. Binding a bound port
-// panics: it is always a wiring bug.
+// and a single-fragment payload is the sender's buffer, shared read-only
+// with every other receiver of the same multicast, so a handler that
+// needs the bytes must copy them and must not write to them. Binding a
+// bound port panics: it is always a wiring bug.
 func (h *Host) Bind(port int, handler func(dg *Datagram)) *Socket {
 	return h.BindBuf(port, h.cfg.RecvBuf, handler)
 }
@@ -56,22 +58,23 @@ func (s *Socket) Port() int { return s.port }
 
 // SendTo transmits payload to dst:dstPort. The send syscall cost is
 // charged to the host CPU; the datagram enters the wire when it
-// completes. The payload slice is not copied — it backs the in-flight
-// fragments and, for single-fragment datagrams, the delivered payload
-// itself, so callers must not mutate it afterwards (protocol code
-// allocates per-packet buffers).
+// completes. SendTo copies payload, as a kernel does, into a buffer from
+// the host's free list that backs the in-flight fragments and, for a
+// single-fragment datagram, every receiver's delivered payload; the
+// caller may reuse payload as soon as SendTo returns.
 func (s *Socket) SendTo(dst Addr, dstPort int, payload []byte) {
 	if len(payload) > MaxDatagram {
 		panic(fmt.Sprintf("ipnet: datagram of %d bytes exceeds max %d", len(payload), MaxDatagram))
 	}
 	h := s.host
 	db := h.getDatagram()
+	db.pb = h.copyPayload(payload)
 	db.dg = Datagram{
 		Src:     h.cfg.Addr,
 		Dst:     dst,
 		SrcPort: s.port,
 		DstPort: dstPort,
-		Payload: payload,
+		Payload: db.pb.b,
 	}
 	cost := h.cfg.Costs.SendSyscall + PerByte(len(payload), h.cfg.Costs.SendPerByteNs)
 	h.ExecFunc(cost, hostOutput, h, db)

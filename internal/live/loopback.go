@@ -59,9 +59,11 @@ type LoopNet struct {
 	inbox []loopWork
 	// spare is the drained batch's storage, swapped back in as the next
 	// inbox so steady-state posting appends into existing capacity;
-	// free recycles delivery records. Both are the driver's alone.
-	spare []loopWork
-	free  []*loopDatagram
+	// free recycles delivery records and frameFree frame copies. All
+	// three are the driver's alone.
+	spare     []loopWork
+	free      []*loopDatagram
+	frameFree []*loopFrame
 
 	ports []*loopPort // attach order; fan-out order for multicasts
 }
@@ -77,9 +79,18 @@ type loopWork struct {
 // loopDatagram is one datagram in flight: scheduled on the simulator by
 // send, queued on the inbox when it arrives, recycled once handled.
 type loopDatagram struct {
-	to   *loopPort
-	wire []byte
-	src  netip.AddrPort
+	to    *loopPort
+	frame *loopFrame
+	src   netip.AddrPort
+}
+
+// loopFrame is the network's copy of one WriteTo's frame — the codec
+// only lends it — shared by every delivery the write fans out to. The
+// write and each scheduled delivery hold a reference; the last release
+// returns the copy to the free list, where b keeps its capacity.
+type loopFrame struct {
+	b    []byte
+	refs int
 }
 
 // NewLoopNet creates an empty loopback network.
@@ -166,7 +177,7 @@ func (ln *LoopNet) drain() {
 				w.fn()
 				continue
 			}
-			w.dg.to.n.onWire(w.dg.wire, w.dg.src)
+			w.dg.to.n.onWire(w.dg.frame.b, w.dg.src)
 			ln.recycle(w.dg)
 		}
 		clear(batch)
@@ -182,8 +193,8 @@ func (ln *LoopNet) drain() {
 // base delay plus jitter, clamped so a path never reorders — a later
 // send on the same (from, to) path never arrives before an earlier one
 // (same-instant deliveries fire in scheduling order).
-func (ln *LoopNet) send(from, to *loopPort, wire []byte) {
-	if ln.cfg.LossRate > 0 && !isHelloWire(wire) && ln.rand.Bool(ln.cfg.LossRate) {
+func (ln *LoopNet) send(from, to *loopPort, f *loopFrame) {
+	if ln.cfg.LossRate > 0 && !isHelloWire(f.b) && ln.rand.Bool(ln.cfg.LossRate) {
 		return
 	}
 	d := ln.cfg.Delay
@@ -201,15 +212,39 @@ func (ln *LoopNet) send(from, to *loopPort, wire []byte) {
 	} else {
 		dg = new(loopDatagram)
 	}
-	*dg = loopDatagram{to: to, wire: wire, src: from.addr}
+	f.refs++
+	*dg = loopDatagram{to: to, frame: f, src: from.addr}
 	ln.sim.AtFunc(at, arriveLoop, dg, nil)
 }
 
 // recycle returns a handled delivery record to the free list (driver
 // only), dropping its references.
 func (ln *LoopNet) recycle(dg *loopDatagram) {
+	ln.release(dg.frame)
 	*dg = loopDatagram{}
 	ln.free = append(ln.free, dg)
+}
+
+// copyFrame copies b into a frame from the free list, holding one
+// reference for the caller (driver only).
+func (ln *LoopNet) copyFrame(b []byte) *loopFrame {
+	var f *loopFrame
+	if k := len(ln.frameFree); k > 0 {
+		f, ln.frameFree = ln.frameFree[k-1], ln.frameFree[:k-1]
+	} else {
+		f = new(loopFrame)
+	}
+	f.b = append(f.b[:0], b...)
+	f.refs = 1
+	return f
+}
+
+// release drops one reference to f, returning it to the free list with
+// the last (driver only).
+func (ln *LoopNet) release(f *loopFrame) {
+	if f.refs--; f.refs == 0 {
+		ln.frameFree = append(ln.frameFree, f)
+	}
 }
 
 // arriveLoop fires when a datagram reaches its destination: it joins
@@ -251,20 +286,22 @@ func (p *loopPort) WriteTo(b []byte, addr netip.AddrPort) {
 		return
 	}
 	ln := p.ln
+	f := ln.copyFrame(b)
+	defer ln.release(f)
 	if addr == ln.group {
 		// Multicast: fan out to every other attached port. No loopback
 		// to self — the node would discard it anyway, as a UDP reader
 		// drops its own looped-back multicast.
 		for _, q := range ln.ports {
 			if q != p {
-				ln.send(p, q, b)
+				ln.send(p, q, f)
 			}
 		}
 		return
 	}
 	for _, q := range ln.ports {
 		if addr == q.addr {
-			ln.send(p, q, b)
+			ln.send(p, q, f)
 			return
 		}
 	}

@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Batcher coalesces queued sub-MTU packets into MTU-sized v2 carrier
 // frames. Transports queue multicast data packets with Add and arrange
@@ -22,9 +25,15 @@ type Batcher struct {
 	// MinCompress is the compression threshold passed to EncodeV2
 	// (zero disables compression).
 	MinCompress int
-	// Emit transmits one encoded frame. Must be set before use.
+	// Emit transmits one encoded frame. Must be set before use. The
+	// frame is Emit's to keep unless Lend is set; then it is a borrow,
+	// valid until the batcher's next frame.
 	Emit func(frame []byte, inner, rawLen int)
+	// Lend, when set, has the batcher encode every frame — Flush's and
+	// Encode's — into one buffer it keeps instead of fresh storage.
+	Lend bool
 
+	buf     []byte // a lending batcher's frame storage
 	pending []byte // length-prefixed inner v1 encodings, in Add order
 	count   int
 }
@@ -55,7 +64,7 @@ func (b *Batcher) Add(p *Packet) {
 	off := len(b.pending)
 	b.pending = append(b.pending, 0, 0)
 	binary.BigEndian.PutUint16(b.pending[off:], uint16(wl))
-	b.pending = append(b.pending, make([]byte, wl)...)
+	b.pending = slices.Grow(b.pending, wl)[:off+2+wl] // as in sealV2
 	p.EncodeTo(b.pending[off+2:])
 	b.count++
 }
@@ -69,7 +78,7 @@ func (b *Batcher) Flush() {
 	first := b.pending[2:] // the first inner packet's v1 encoding
 	if b.count == 1 {
 		payload := first[HeaderLen:]
-		b.Emit(sealV2(first, 0, payload, b.MinCompress), 1, HeaderLenV2+len(payload)+TrailerLen)
+		b.Emit(b.seal(first, 0, payload), 1, HeaderLenV2+len(payload)+TrailerLen)
 	} else {
 		// The outer header echoes the first inner packet, with Flags
 		// cleared and Aux carrying the inner count for observability;
@@ -78,9 +87,29 @@ func (b *Batcher) Flush() {
 		copy(outer[:], first)
 		outer[3] = 0
 		binary.BigEndian.PutUint32(outer[12:16], uint32(b.count))
-		b.Emit(sealV2(outer[:], WireCarrier, b.pending, b.MinCompress), b.count,
+		b.Emit(b.seal(outer[:], WireCarrier, b.pending), b.count,
 			HeaderLenV2+len(b.pending)+TrailerLen)
 	}
 	b.pending = b.pending[:0]
 	b.count = 0
+}
+
+// Encode frames p on its own as a plain v2 frame, as EncodeV2 does with
+// the batcher's threshold; under Lend the frame is a borrow, as Emit's
+// is. It neither queues nor flushes: a caller that must keep send order
+// flushes first.
+func (b *Batcher) Encode(p *Packet) (frame []byte, rawLen int) {
+	var hdr [HeaderLen]byte
+	p.putHeader(hdr[:])
+	return b.seal(hdr[:], 0, p.Payload), HeaderLenV2 + len(p.Payload) + TrailerLen
+}
+
+// seal is sealV2 into the batcher's buffer when it lends, into fresh
+// storage otherwise.
+func (b *Batcher) seal(hdr []byte, wf WireFlags, payload []byte) []byte {
+	if !b.Lend {
+		return sealV2(nil, hdr, wf, payload, b.MinCompress)
+	}
+	b.buf = sealV2(b.buf[:0], hdr, wf, payload, b.MinCompress)
+	return b.buf
 }

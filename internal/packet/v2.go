@@ -38,6 +38,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -100,17 +101,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // length, equal to len(frame) when compression did not apply, so
 // callers can account savings without re-deriving them.
 func EncodeV2(p *Packet, minCompress int) (frame []byte, rawLen int) {
-	var hdr [HeaderLen]byte
-	p.putHeader(hdr[:])
-	return sealV2(hdr[:], 0, p.Payload, minCompress), HeaderLenV2 + len(p.Payload) + TrailerLen
+	b := Batcher{MinCompress: minCompress}
+	return b.Encode(p)
 }
 
-// sealV2 assembles a fresh v2 frame from a v1 header (its version byte
-// is overwritten) and a payload, and is the one place the
-// compress-if-it-shrinks rule lives: plain frames and carriers alike
-// deflate a payload of at least minCompress bytes and keep the result
-// only when it is smaller.
-func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
+// sealV2 appends a v2 frame, assembled from a v1 header (its version
+// byte is overwritten) and a payload, to dst and returns the extended
+// slice; a nil dst gives the frame fresh storage. It is the one place
+// the compress-if-it-shrinks rule lives: plain frames and carriers
+// alike deflate a payload of at least minCompress bytes and keep the
+// result only when it is smaller. payload must not overlap dst's
+// spare capacity.
+func sealV2(dst, hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 	if minCompress > 0 && len(payload) >= minCompress {
 		st := getFlate()
 		defer putFlate(st) // after the copy below: c aliases st's scratch
@@ -119,14 +121,19 @@ func sealV2(hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 			wf |= WireCompressed
 		}
 	}
+	off := len(dst)
 	n := HeaderLenV2 + len(payload) + TrailerLen
-	b := make([]byte, n)
+	// slices.Grow, not append of a make: the race detector's build
+	// turns off the compiler's in-place extension, so that would
+	// allocate the make every frame. Every byte of b is written below.
+	dst = slices.Grow(dst, n)[:off+n]
+	b := dst[off:]
 	copy(b, hdr[:HeaderLen])
 	b[1] = Version2
 	b[HeaderLenV2-1] = byte(wf)
 	copy(b[HeaderLenV2:], payload)
 	binary.BigEndian.PutUint32(b[n-TrailerLen:], crc32.Checksum(b[:n-TrailerLen], castagnoli))
-	return b
+	return dst
 }
 
 // DecodeFrameV2 is the strict decoder for v2 sessions: it accepts only

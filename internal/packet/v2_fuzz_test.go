@@ -51,9 +51,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(badwf)
 	// Carrier with a valid CRC but garbage payload structure.
 	hdr := (&Packet{Type: TypeData}).Encode()
-	f.Add(sealV2(hdr, WireCarrier, []byte{0xFF, 0xFF, 0x00}, 0))
+	f.Add(sealV2(nil, hdr, WireCarrier, []byte{0xFF, 0xFF, 0x00}, 0))
 	// Compressed flag over raw bytes (flate garbage).
-	f.Add(sealV2(hdr, WireCompressed, []byte("not flate data"), 0))
+	f.Add(sealV2(nil, hdr, WireCompressed, []byte("not flate data"), 0))
 	f.Add([]byte{})
 	f.Add([]byte{Magic, Version2})
 

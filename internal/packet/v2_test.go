@@ -313,7 +313,7 @@ func TestDecodePayloadAliasesInput(t *testing.T) {
 // payload inflates past the UDP maximum is dropped, not allocated.
 func TestV2DecompressionBombRejected(t *testing.T) {
 	huge := make([]byte, maxInflate+4096)
-	frame := sealV2((&Packet{Type: TypeData, Seq: 1}).Encode(), WireCompressed, newFlateState().deflate(huge), 0)
+	frame := sealV2(nil, (&Packet{Type: TypeData, Seq: 1}).Encode(), WireCompressed, newFlateState().deflate(huge), 0)
 	if err := DecodeFrameV2(frame, func(*Packet) {
 		t.Fatal("bomb emitted a packet")
 	}); err != ErrBadCompression {
@@ -341,7 +341,7 @@ func TestV2BadCarrierShapes(t *testing.T) {
 		"nested-v2":       lp(v2inner),
 	}
 	for name, payload := range cases {
-		frame := sealV2(outer, WireCarrier, payload, 0)
+		frame := sealV2(nil, outer, WireCarrier, payload, 0)
 		if err := DecodeFrameV2(frame, func(*Packet) {
 			t.Fatalf("%s: emitted a packet", name)
 		}); err != ErrBadCarrier {
@@ -427,11 +427,11 @@ func TestInflateMemoKeepsGuards(t *testing.T) {
 	flipped := append([]byte(nil), a...)
 	flipped[len(flipped)-1] ^= 0x01
 	hdr := (&Packet{Type: TypeData, Seq: 1}).Encode()
-	badCarrier := sealV2(hdr, WireCarrier, bytes.Repeat([]byte{0xFF}, 256), DefaultCompressThreshold)
+	badCarrier := sealV2(nil, hdr, WireCarrier, bytes.Repeat([]byte{0xFF}, 256), DefaultCompressThreshold)
 	if WireFlags(badCarrier[HeaderLenV2-1])&WireCompressed == 0 {
 		t.Fatal("malformed carrier did not compress")
 	}
-	bomb := sealV2(hdr, WireCompressed, newFlateState().deflate(make([]byte, maxInflate+4096)), 0)
+	bomb := sealV2(nil, hdr, WireCompressed, newFlateState().deflate(make([]byte, maxInflate+4096)), 0)
 	for name, c := range map[string]struct {
 		frame []byte
 		want  error
@@ -439,8 +439,8 @@ func TestInflateMemoKeepsGuards(t *testing.T) {
 		"flipped trailer":     {flipped, ErrBadCRC},
 		"decompression bomb":  {bomb, ErrBadCompression},
 		"compressed carrier":  {badCarrier, ErrBadCarrier},
-		"flate garbage":       {sealV2(hdr, WireCompressed, []byte("not flate data"), 0), ErrBadCompression},
-		"empty flate payload": {sealV2(hdr, WireCompressed, nil, 0), ErrBadCompression},
+		"flate garbage":       {sealV2(nil, hdr, WireCompressed, []byte("not flate data"), 0), ErrBadCompression},
+		"empty flate payload": {sealV2(nil, hdr, WireCompressed, nil, 0), ErrBadCompression},
 	} {
 		for i := 0; i < 2; i++ {
 			if err := DecodeFrameV2(c.frame, func(*Packet) {

@@ -56,8 +56,8 @@ type slot struct {
 	seq   uint64
 	gen   uint32
 	state uint8
-	fn0   func()          // nullary callback (At/After)
-	fn    func(a, b any)  // monomorphic callback (AtFunc/AfterFunc)
+	fn0   func()         // nullary callback (At/After)
+	fn    func(a, b any) // monomorphic callback (AtFunc/AfterFunc)
 	a, b  any
 }
 

@@ -40,22 +40,22 @@ func TestParseCanonicalStrings(t *testing.T) {
 func TestParseRejectsInvalid(t *testing.T) {
 	for _, in := range []string{
 		"",
-		"ring",                 // unknown kind
-		"single:4",             // single takes no dims
-		"two-switch:2",         // two-switch takes no dims
-		"star",                 // star requires dims
-		"star:0",               // zero leaves
-		"star:4x16x2",          // too many dims
-		"fattree:4x8",          // fat-tree needs three dims
-		"fattree:0x8x32",       // zero spines
-		"star:4@100",           // rate without unit
-		"star:4@m",             // rate without digits
-		"star:4,speed=1g",      // unknown option
-		"star:4,trunk",         // option without value
-		"star:4,over=0",        // oversub must be >= 1
-		"star:4,over=-2",       // negative oversub
-		"single,trunk=1g",      // single has no trunks
-		"single,over=2",        // single has no trunks
+		"ring",                   // unknown kind
+		"single:4",               // single takes no dims
+		"two-switch:2",           // two-switch takes no dims
+		"star",                   // star requires dims
+		"star:0",                 // zero leaves
+		"star:4x16x2",            // too many dims
+		"fattree:4x8",            // fat-tree needs three dims
+		"fattree:0x8x32",         // zero spines
+		"star:4@100",             // rate without unit
+		"star:4@m",               // rate without digits
+		"star:4,speed=1g",        // unknown option
+		"star:4,trunk",           // option without value
+		"star:4,over=0",          // oversub must be >= 1
+		"star:4,over=-2",         // negative oversub
+		"single,trunk=1g",        // single has no trunks
+		"single,over=2",          // single has no trunks
 		"star:4,trunk=1g,over=2", // mutually exclusive
 	} {
 		if spec, err := Parse(in); err == nil {

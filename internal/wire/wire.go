@@ -28,6 +28,12 @@ import (
 // first flushes the queue, keeping frame order consistent with protocol
 // send order.
 //
+// A codec built by New encodes every frame into one buffer it keeps, so
+// a frame passed to send or returned by EncodeUnicast is a borrow, as a
+// decoded packet is: valid until the codec's next Multicast,
+// EncodeUnicast or FlushBatch. A transport that holds a frame past the
+// call copies it. NewCodec's frames are fresh and the caller's.
+//
 // Codec is not concurrency-safe; confine it to the transport's event
 // loop, as both transports confine their sockets.
 type Codec struct {
@@ -42,13 +48,16 @@ type Codec struct {
 	// scratch is the one Packet every received frame is decoded into:
 	// Decode lends it to emit and clears it afterwards.
 	scratch packet.Packet
+	// buf is the one buffer a v1 codec encodes every frame into; a v2
+	// codec's is its lending batcher's.
+	buf []byte
 }
 
 // New builds the codec for a session configured by cfg: v2 when
 // cfg.WireV2 (resolving the compression threshold and carrier MTU
 // defaults; core.Config.Normalize validates them), v1 otherwise, whose
 // frames count into mx only when countWire is set. arm, send and mx are
-// as for NewCodec.
+// as for NewCodec. Its frames are lent (see Codec).
 func New(cfg core.Config, countWire bool, mx *metrics.Session, arm func(), send func(frame []byte)) *Codec {
 	if !cfg.WireV2 {
 		return &Codec{mx: mx, send: send, v1: true, countV1: countWire}
@@ -57,23 +66,30 @@ func New(cfg core.Config, countWire bool, mx *metrics.Session, arm func(), send 
 	if minCompress == 0 {
 		minCompress = packet.DefaultCompressThreshold
 	}
-	return NewCodec(minCompress, cfg.CoalesceMTU, mx, arm, send)
+	c := NewCodec(minCompress, cfg.CoalesceMTU, mx, arm, send)
+	c.batch.Lend = true
+	return c
 }
 
 // NewCodec builds a v2 codec. minCompress and mtu follow Batcher
 // semantics (<=0 disables compression; 0 MTU means
 // packet.DefaultCoalesceMTU). arm schedules a future FlushBatch call;
-// send transmits one finished multicast frame. mx may be nil
-// (accounting becomes a no-op).
+// send transmits one finished multicast frame, which it may keep. mx
+// may be nil (accounting becomes a no-op).
 func NewCodec(minCompress, mtu int, mx *metrics.Session, arm func(), send func(frame []byte)) *Codec {
 	c := &Codec{mx: mx, arm: arm, send: send}
 	c.batch = packet.Batcher{MTU: mtu, MinCompress: minCompress, Emit: c.emit}
 	return c
 }
 
-// encodeV1 frames p in wire format v1.
+// encodeV1 frames p in wire format v1, into the codec's buffer.
 func (c *Codec) encodeV1(p *packet.Packet) []byte {
-	frame := p.Encode()
+	n := p.WireLen()
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	frame := c.buf[:n]
+	p.EncodeTo(frame)
 	if c.countV1 {
 		c.mx.CountWireFrame(len(frame), len(frame), 1, false)
 	}
@@ -110,19 +126,20 @@ func (c *Codec) Multicast(p *packet.Packet) {
 	// FlushBatch still fires and clears it, collecting anything queued
 	// in between.
 	c.batch.Flush()
-	frame, raw := packet.EncodeV2(p, c.batch.MinCompress)
+	frame, raw := c.batch.Encode(p)
 	c.emit(frame, 1, raw)
 }
 
 // EncodeUnicast flushes queued multicast frames (a unicast reply must
 // not overtake the data it reacts to) and returns p's encoded, already
-// accounted frame for the caller to address.
+// accounted frame for the caller to address: under New, a borrow valid
+// until the codec's next call.
 func (c *Codec) EncodeUnicast(p *packet.Packet) []byte {
 	if c.v1 {
 		return c.encodeV1(p)
 	}
 	c.batch.Flush()
-	frame, raw := packet.EncodeV2(p, c.batch.MinCompress)
+	frame, raw := c.batch.Encode(p)
 	c.account(frame, 1, raw)
 	return frame
 }
