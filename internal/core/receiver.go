@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rmcast/internal/metrics"
@@ -33,11 +34,11 @@ type Receiver struct {
 
 	active bool
 	msgID  uint32
-	// buf is the message under assembly, len = message size. It is a
-	// view of *slab, the recyclable allocation behind it (see
+	// buf is the message under assembly, len = message size. It is
+	// msg.b, the bytes of the reference-counted buffer behind it (see
 	// messageBuffer); the two are set and dropped together.
 	buf        []byte
-	slab       *[]byte
+	msg        *Message
 	count      uint32
 	next       uint32 // next expected sequence
 	have       []bool // selective repeat: per-packet receipt map
@@ -112,6 +113,8 @@ type Receiver struct {
 // onDeliver runs once per message with the fully assembled payload,
 // which stays valid until the receiver's next session begins or Release
 // is called — a caller that never calls Release may keep the last one.
+// A caller that wants the payload past that calls Retain inside
+// onDeliver and Releases the Message when done with it.
 func NewReceiver(env Env, cfg Config, rank NodeID, onDeliver func([]byte)) (*Receiver, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -324,47 +327,95 @@ func (r *Receiver) beginSession(msgID uint32, size int) {
 	r.snapGen++
 }
 
+// Message is a receiver's message buffer, shared by reference count.
+// The receiver holds one reference from the session that assembles it
+// until the next session or Release; Retain adds one for a holder that
+// keeps the delivered message longer (a live node's Recv queue). The
+// last Release returns the buffer to the package pool. The count is
+// atomic because a holder may release on another goroutine than the
+// receiver's.
+type Message struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// Bytes returns the message. It is read-only: the receiver serves
+// peer snapshots out of it until its next session.
+func (m *Message) Bytes() []byte { return m.b }
+
+// Release drops one reference. The last one returns the buffer to the
+// pool, after which neither Bytes nor the slice it returned may be
+// used. Releasing more often than referenced panics.
+func (m *Message) Release() {
+	switch n := m.refs.Add(-1); {
+	case n == 0:
+		msgBufs.Put(m)
+	case n < 0:
+		panic("core: message released more often than retained")
+	}
+}
+
 // msgBufs holds released message buffers for the next session of any
 // receiver in the process. One pool rather than size classes: every
 // receiver of a run asks for the same size, so a buffer too small for
 // the request at hand (simply dropped) is rare, and rounding capacities
 // up to a class allocated more than it saved on `rmbench -exp fig8
 // -quick` (426,502-byte messages; numbers in CHANGES.md, PR 20).
-var msgBufs sync.Pool // of *[]byte
+var msgBufs sync.Pool // of *Message
 
 // messageBuffer returns the size-byte, all-zero buffer of a new
-// session: this receiver's previous buffer when it is large enough (a
-// live node's receiver persists across messages), else a released one
-// from the pool, else a fresh allocation. A recycled buffer is cleared:
-// the test payload is a function of the byte index alone, so a packet
-// slot the session never wrote would otherwise read as the previous
-// message's bytes — and verify.
+// session: this receiver's previous buffer when it is large enough and
+// nobody retained it (a live node's receiver persists across messages),
+// else a released one from the pool, else a fresh allocation. A
+// retained buffer stays its holders'; the receiver only drops its own
+// reference. A recycled buffer is cleared: the test payload is a
+// function of the byte index alone, so a packet slot the session never
+// wrote would otherwise read as the previous message's bytes — and
+// verify.
 func (r *Receiver) messageBuffer(size int) []byte {
-	if r.slab == nil || cap(*r.slab) < size {
-		r.slab, _ = msgBufs.Get().(*[]byte)
-		if r.slab == nil || cap(*r.slab) < size {
-			b := make([]byte, size)
-			r.slab = &b
-			return b
-		}
+	if r.msg != nil && r.msg.refs.Load() != 1 {
+		r.msg.Release()
+		r.msg = nil
 	}
-	b := (*r.slab)[:size]
-	clear(b)
-	return b
+	if r.msg == nil || cap(r.msg.b) < size {
+		r.msg, _ = msgBufs.Get().(*Message)
+		if r.msg == nil || cap(r.msg.b) < size {
+			r.msg = &Message{b: make([]byte, size)}
+			r.msg.refs.Store(1)
+			return r.msg.b
+		}
+		r.msg.refs.Store(1)
+	}
+	r.msg.b = r.msg.b[:size]
+	clear(r.msg.b)
+	return r.msg.b
 }
 
-// Release hands the message buffer to the pool for the next session in
-// the process and deactivates the session: the payload onDeliver saw is
-// invalid from here on, and late packets are dropped until a new
-// allocation request arrives. Releasing twice, or before any session,
-// is a no-op; a receiver that is simply dropped leaves its buffer to
-// the garbage collector.
+// Retain adds a reference to the delivered message and returns it,
+// for a caller that keeps the payload past the receiver's next session.
+// Call it inside onDeliver (or before the next session begins); it
+// panics when no message is delivered.
+func (r *Receiver) Retain() *Message {
+	if r.msg == nil || !r.delivered {
+		panic("core: Retain with no delivered message")
+	}
+	r.msg.refs.Add(1)
+	return r.msg
+}
+
+// Release drops the receiver's reference to its message buffer — the
+// last one returns it to the pool for the next session in the process —
+// and deactivates the session: the payload onDeliver saw is invalid
+// from here on unless retained, and late packets are dropped until a
+// new allocation request arrives. Releasing twice, or before any
+// session, is a no-op; a receiver that is simply dropped leaves its
+// buffer to the garbage collector.
 func (r *Receiver) Release() {
-	if r.slab == nil {
+	if r.msg == nil {
 		return
 	}
-	msgBufs.Put(r.slab)
-	r.slab, r.buf = nil, nil
+	r.msg.Release()
+	r.msg, r.buf = nil, nil
 	r.active, r.snapActive = false, false
 }
 

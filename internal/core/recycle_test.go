@@ -170,3 +170,100 @@ func TestReceiverDataPathZeroAllocs(t *testing.T) {
 		t.Fatalf("the measured loop did not accept and acknowledge: next=%d of %d, %d sends, last %v", r.next, seq, env.sends, &env.last)
 	}
 }
+
+// retainingReceiver builds a receiver whose onDeliver retains every
+// message it delivers into *kept.
+func retainingReceiver(t *testing.T, pktSize int, kept *[]*Message) *Receiver {
+	t.Helper()
+	var r *Receiver
+	r, err := NewReceiver(&sinkEnv{}, Config{Protocol: ProtoACK, NumReceivers: 1, PacketSize: pktSize, WindowSize: 4}, 1,
+		func([]byte) { *kept = append(*kept, r.Retain()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRetainedMessageOutlivesSession: a message retained in onDeliver
+// keeps its bytes through the receiver's next session, which assembles
+// a different pattern in a buffer of its own; once nobody retains the
+// buffer, the next session reuses it.
+func TestRetainedMessageOutlivesSession(t *testing.T) {
+	const pktSize = 512
+	a := pattern(8 * pktSize)
+	b := bytes.Repeat([]byte{0xA5}, len(a))
+	var kept []*Message
+	r := retainingReceiver(t, pktSize, &kept)
+	feed(r, 1, pktSize, a)
+	if len(kept) != 1 || !bytes.Equal(kept[0].Bytes(), a) {
+		t.Fatal("the first message was not delivered and retained")
+	}
+	feed(r, 2, pktSize, b)
+	if !r.Delivered() || !bytes.Equal(r.buf, b) {
+		t.Fatal("the second session did not assemble its message")
+	}
+	if &r.buf[0] == &kept[0].Bytes()[0] {
+		t.Fatal("the second session assembled into the retained buffer")
+	}
+	if !bytes.Equal(kept[0].Bytes(), a) {
+		t.Fatal("the retained message changed under the receiver's next session")
+	}
+	for _, m := range kept {
+		m.Release()
+	}
+
+	// Nobody holds the second session's buffer now: the third reuses it.
+	held := &r.buf[0]
+	r.OnPacket(SenderID, &packet.Packet{Type: packet.TypeAllocReq, MsgID: 3, Aux: uint32(len(a))})
+	if &r.buf[0] != held || !bytes.Equal(r.buf, make([]byte, len(a))) {
+		t.Fatal("an unretained buffer was not reused, zeroed, by the next session")
+	}
+}
+
+// TestRetainedMessageReleasedTwicePanics: releasing one reference twice
+// takes the count below zero, which panics instead of handing a buffer
+// to the pool twice.
+func TestRetainedMessageReleasedTwicePanics(t *testing.T) {
+	const pktSize = 64
+	var kept []*Message
+	r := retainingReceiver(t, pktSize, &kept)
+	feed(r, 1, pktSize, pattern(4*pktSize))
+	r.Release()
+	kept[0].Release() // the last reference: back to the pool
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of one reference did not panic")
+		}
+	}()
+	kept[0].Release()
+}
+
+// TestRetainedMessageSurvivesReceiverRelease: Receiver.Release drops
+// only the receiver's reference, so a message retained from it stays
+// intact while other sessions draw buffers from the pool.
+func TestRetainedMessageSurvivesReceiverRelease(t *testing.T) {
+	const pktSize = 512
+	a := pattern(8 * pktSize)
+	var kept []*Message
+	r := retainingReceiver(t, pktSize, &kept)
+	feed(r, 1, pktSize, a)
+	r.Release()
+	if r.buf != nil || r.active {
+		t.Fatal("Release left the session active")
+	}
+	b := bytes.Repeat([]byte{0x5A}, len(a))
+	for id := uint32(2); id < 6; id++ {
+		var more []*Message
+		other := retainingReceiver(t, pktSize, &more)
+		feed(other, id, pktSize, b)
+		if &other.buf[0] == &kept[0].Bytes()[0] {
+			t.Fatal("another receiver drew the retained buffer from the pool")
+		}
+		more[0].Release()
+		other.Release()
+	}
+	if !bytes.Equal(kept[0].Bytes(), a) {
+		t.Fatal("the retained message changed after Receiver.Release")
+	}
+	kept[0].Release()
+}

@@ -73,10 +73,11 @@ type Config struct {
 	Trace *trace.Buffer
 	// OnDeliver, when non-nil on a receiver rank, is invoked on the
 	// event loop for every fully delivered message with the node's
-	// elapsed time and the reassembled payload (valid only during the
-	// call). Recv keeps working alongside it; the hook exists so the
-	// deterministic loopback harness can observe deliveries without
-	// spinning up consumer goroutines.
+	// elapsed time and the reassembled payload — the receiver's own
+	// buffer, valid only during the call and not to be written. Recv
+	// keeps working alongside it; the hook exists so the deterministic
+	// loopback harness can observe deliveries without spinning up
+	// consumer goroutines.
 	OnDeliver func(at time.Duration, payload []byte)
 }
 
@@ -92,7 +93,7 @@ type Node struct {
 	// driver executes posted work between simulator events.
 	driven *LoopNet
 
-	loop      chan work // loopDepth deep
+	loop      chan work // loopDepth deep; nil on a driven node
 	closing   chan struct{}
 	wg        sync.WaitGroup
 	stopHello func()
@@ -128,7 +129,9 @@ type Node struct {
 	haveCurMsg  bool
 	curMsgStart time.Duration
 
-	recvQ chan []byte // delivered messages (receiver ranks)
+	// recvQ holds delivered messages (receiver ranks), each a reference
+	// the queue owns: whoever takes a message out releases it.
+	recvQ chan *core.Message
 
 	// snd is the persistent sender state machine (rank 0 only); it is
 	// reused across Send calls so message ids stay unique for the
@@ -188,13 +191,15 @@ func newNode(cfg Config, group netip.AddrPort, clk nodeClock, driven *LoopNet) (
 		group:    group,
 		clk:      clk,
 		driven:   driven,
-		loop:     make(chan work, loopDepth),
 		closing:  make(chan struct{}),
 		mx:       metrics.NewSession(),
 		addrs:    make(map[core.NodeID]netip.AddrPort),
 		lastSeen: make(map[core.NodeID]time.Duration),
 		timers:   make(map[core.TimerID]canceler),
-		recvQ:    make(chan []byte, 16),
+		recvQ:    make(chan *core.Message, 16),
+	}
+	if driven == nil {
+		n.loop = make(chan work, loopDepth)
 	}
 	n.emit = func(p *packet.Packet) { n.onPacket(p, n.src) }
 	// The send closure reads n.tr at send time: the transport is
@@ -277,20 +282,21 @@ func (n *Node) onDeliver(msg []byte) {
 	if n.cfg.OnDeliver != nil {
 		n.cfg.OnDeliver(n.clk.Now(), msg)
 	}
-	// Deliver a stable copy: the protocol buffer is reused for
-	// duplicate handling.
-	out := make([]byte, len(msg))
-	copy(out, msg)
+	// Queue a reference, not a copy: the receiver moves to a fresh
+	// buffer at its next session while this one is retained, and Recv
+	// copies out only what the application reads.
+	m := n.ep.(*core.Receiver).Retain()
 	select {
-	case n.recvQ <- out:
+	case n.recvQ <- m:
 	default:
 		// Receiver application is not consuming; drop the oldest.
 		select {
-		case <-n.recvQ:
+		case old := <-n.recvQ:
+			old.Release()
 			n.mx.CountRecvQEviction()
 		default:
 		}
-		n.recvQ <- out
+		n.recvQ <- m
 	}
 }
 
@@ -300,8 +306,9 @@ func (n *Node) Rank() core.NodeID { return n.cfg.Rank }
 // LocalAddr returns the node's unicast address.
 func (n *Node) LocalAddr() *net.UDPAddr { return n.tr.LocalAddr() }
 
-// Close shuts the node down. Pending Send/Recv calls fail, and a
-// receiver rank's message buffer goes back to the process-wide pool.
+// Close shuts the node down. Pending Send/Recv calls fail, messages
+// still queued for Recv are dropped, and a receiver rank's message
+// buffers go back to the process-wide pool.
 // On a UDP node it waits for the event loop and socket readers to
 // exit, so no node goroutine outlives Close. Closing twice is a no-op.
 func (n *Node) Close() error {
@@ -321,11 +328,22 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// release hands a receiver rank's message buffer back to the pool for
-// the next session in the process (event loop, at shutdown).
+// release drops a receiver rank's references to its message buffers —
+// the receiver's and every queued message's — so the last one hands
+// each back to the pool for the next session in the process (event
+// loop, at shutdown). A Recv racing the drain takes a message from the
+// queue instead and releases it itself.
 func (n *Node) release() {
 	if r, ok := n.ep.(*core.Receiver); ok {
 		r.Release()
+	}
+	for {
+		select {
+		case m := <-n.recvQ:
+			m.Release()
+		default:
+			return
+		}
 	}
 }
 
@@ -700,16 +718,22 @@ func (n *Node) Leave() {
 	})
 }
 
-// Recv returns the next fully delivered message on a receiver node.
-// The node queues up to 16 messages nobody has received; past that it
-// drops the oldest and counts it in Metrics().RecvQEvictions.
+// Recv returns the next fully delivered message on a receiver node, in
+// a copy the caller owns. The node queues up to 16 messages nobody has
+// received; past that it drops the oldest and counts it in
+// Metrics().RecvQEvictions. Messages still queued at Close are dropped.
 func (n *Node) Recv(ctx context.Context) ([]byte, error) {
 	if n.cfg.Rank == core.SenderID {
 		return nil, errors.New("live: Recv on the sender rank")
 	}
 	select {
-	case msg := <-n.recvQ:
-		return msg, nil
+	case m := <-n.recvQ:
+		// Copy before releasing: the receiver may still serve peer
+		// snapshots out of the buffer, so it is never the caller's.
+		out := make([]byte, len(m.Bytes()))
+		copy(out, m.Bytes())
+		m.Release()
+		return out, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-n.closing:

@@ -1,7 +1,10 @@
 package live
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"testing"
@@ -79,6 +82,171 @@ func TestLiveReceivePathZeroAllocs(t *testing.T) {
 	}
 	if got := n.ep.(*core.Receiver).Stats().DataReceived; got != uint64(next) {
 		t.Fatalf("receiver accepted %d data packets, want %d: the frames did not reach it", got, next)
+	}
+}
+
+// recvCfg is the delivery tests' session: one NAK receiver, which
+// acknowledges only polled packets.
+var recvCfg = core.Config{Protocol: core.ProtoNAK, NumReceivers: 1, PacketSize: 1000, WindowSize: 8, PollInterval: 4}
+
+// messageFrames encodes one whole message from the sender in recvCfg's
+// packets — the allocation request and its data packets, the last one
+// polled — as a reader would see them.
+func messageFrames(msgID uint32, msg []byte) [][]byte {
+	size := recvCfg.PacketSize
+	frames := [][]byte{(&packet.Packet{Type: packet.TypeAllocReq, MsgID: msgID, Aux: uint32(len(msg))}).Encode()}
+	for off := 0; off < len(msg); off += size {
+		end := min(off+size, len(msg))
+		p := &packet.Packet{Type: packet.TypeData, MsgID: msgID, Seq: uint32(off / size), Aux: uint32(off),
+			Payload: msg[off:end]}
+		if end == len(msg) {
+			p.Flags = packet.FlagPoll | packet.FlagLast
+		}
+		frames = append(frames, p.Encode())
+	}
+	return frames
+}
+
+// receive hands every frame to n's reader side and runs its event loop.
+func receive(t *testing.T, n *Node, frames [][]byte) {
+	t.Helper()
+	from := netip.MustParseAddrPort("10.9.0.1:41000")
+	for _, f := range frames {
+		n.handoff(f, from)
+		step(t, n)
+	}
+}
+
+// TestLiveDeliveryPathZeroAllocs: a receiver whose application never
+// calls Recv delivers whole messages without allocating once its queue
+// is full — the queue shares the receiver's buffer instead of copying
+// it, and each eviction returns a buffer the next session draws.
+func TestLiveDeliveryPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled message buffers")
+	}
+	const warm, runs = 40, 100
+	n := detachedNode(t, recvCfg, 1)
+	msg := livePattern(4 * recvCfg.PacketSize)
+	var msgs [][][]byte
+	for id := uint32(1); id <= warm+runs+1; id++ {
+		msgs = append(msgs, messageFrames(id, msg))
+	}
+	next := 0
+	for ; next < warm; next++ {
+		receive(t, n, msgs[next])
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		receive(t, n, msgs[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a delivered message allocates %.1f objects with nobody calling Recv, want 0", allocs)
+	}
+	if got, want := n.Metrics().RecvQEvictions, uint64(next-cap(n.recvQ)); got != want {
+		t.Fatalf("%d messages evicted, want %d: the messages were not all delivered", got, want)
+	}
+}
+
+// TestRecvReturnsCallersCopy: Recv hands the application a copy, so
+// scribbling over it leaves the receiver's buffer — still the source
+// of any snapshot it serves a joining peer — as delivered.
+func TestRecvReturnsCallersCopy(t *testing.T) {
+	n := detachedNode(t, recvCfg, 1)
+	msg := livePattern(3*recvCfg.PacketSize + 17)
+	receive(t, n, messageFrames(1, msg))
+	kept := n.ep.(*core.Receiver).Retain()
+	defer kept.Release()
+	got, err := n.Recv(context.Background())
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("Recv = %d bytes, %v; want the delivered message", len(got), err)
+	}
+	for i := range got {
+		got[i] ^= 0xFF
+	}
+	if !bytes.Equal(kept.Bytes(), msg) {
+		t.Fatal("writing to Recv's result changed the receiver's buffer")
+	}
+}
+
+// TestRecvRacesEvictions: an application reading with Recv while the
+// event loop delivers, evicts and starts new sessions shares each
+// message's reference count across the two goroutines. Every message
+// it reads is whole and newer than the last, whichever side dropped
+// the last reference to a buffer the next session then reuses.
+func TestRecvRacesEvictions(t *testing.T) {
+	const msgs = 200
+	size := 3 * recvCfg.PacketSize
+	n := detachedNode(t, recvCfg, 1)
+	n.wg.Add(1)
+	go n.runLoop()
+	defer n.Close()
+	read := make(chan error, 1)
+	go func() {
+		last := byte(0)
+		for last < msgs {
+			b, err := n.Recv(context.Background())
+			if err != nil {
+				read <- err
+				return
+			}
+			if len(b) != size || b[0] <= last || !bytes.Equal(b, bytes.Repeat(b[:1], len(b))) {
+				read <- fmt.Errorf("after message %d Recv returned %d bytes starting % x", last, len(b), b[:min(len(b), 8)])
+				return
+			}
+			last = b[0]
+		}
+		read <- nil
+	}()
+	from := netip.MustParseAddrPort("10.9.0.1:41000")
+	for id := uint32(1); id <= msgs; id++ {
+		for _, f := range messageFrames(id, bytes.Repeat([]byte{byte(id)}, size)) {
+			n.handoff(f, from)
+		}
+	}
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader never received the last message")
+	}
+}
+
+// TestCloseReleasesQueuedMessages: Close drops the messages nobody
+// received and releases each exactly once. The test holds one extra
+// reference to each: after Close that reference must be the last, so
+// releasing it once more panics.
+func TestCloseReleasesQueuedMessages(t *testing.T) {
+	n := detachedNode(t, recvCfg, 1)
+	var kept []*core.Message
+	for id := uint32(1); id <= 3; id++ {
+		receive(t, n, messageFrames(id, livePattern(2*recvCfg.PacketSize)))
+		kept = append(kept, n.ep.(*core.Receiver).Retain())
+	}
+	if len(n.recvQ) != len(kept) {
+		t.Fatalf("%d messages queued, want %d", len(n.recvQ), len(kept))
+	}
+	n.wg.Add(1)
+	go n.runLoop() // runs the shutdown drain a UDP node's loop runs
+	n.Close()
+	if len(n.recvQ) != 0 {
+		t.Fatalf("%d messages still queued after Close", len(n.recvQ))
+	}
+	if _, err := n.Recv(context.Background()); err == nil {
+		t.Fatal("Recv after Close returned a message")
+	}
+	for i, m := range kept {
+		m.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("message %d: Close left a reference behind", i+1)
+				}
+			}()
+			m.Release()
+		}()
 	}
 }
 
