@@ -476,7 +476,9 @@ func (s *Sender) aliveReceivers() int {
 // has confirmed a buffer. The alloc timer is cancelled so it cannot
 // fire as a spurious data timeout.
 func (s *Sender) maybeFinishAlloc() {
-	if s.phase != phaseAlloc {
+	// Each confirmation is counted once in allocOK, so fewer entries
+	// than survivors settles it without the O(receivers) walk below.
+	if s.phase != phaseAlloc || len(s.allocOK) < s.aliveReceivers() {
 		return
 	}
 	confirmed := 0

@@ -74,10 +74,11 @@ type Config struct {
 	// OnDeliver, when non-nil on a receiver rank, is invoked on the
 	// event loop for every fully delivered message with the node's
 	// elapsed time and the reassembled payload — the receiver's own
-	// buffer, valid only during the call and not to be written. Recv
-	// keeps working alongside it; the hook exists so the deterministic
-	// loopback harness can observe deliveries without spinning up
-	// consumer goroutines.
+	// buffer, valid only during the call and not to be written. The hook
+	// replaces the Recv queue: such a node keeps no delivered message
+	// and its Recv fails at once. It exists so harnesses (the
+	// deterministic loopback one, bench/'s live workloads) observe
+	// deliveries without spinning up consumer goroutines.
 	OnDeliver func(at time.Duration, payload []byte)
 }
 
@@ -129,8 +130,9 @@ type Node struct {
 	haveCurMsg  bool
 	curMsgStart time.Duration
 
-	// recvQ holds delivered messages (receiver ranks), each a reference
-	// the queue owns: whoever takes a message out releases it.
+	// recvQ holds delivered messages (receiver ranks without OnDeliver;
+	// nil otherwise), each a reference the queue owns: whoever takes a
+	// message out releases it.
 	recvQ chan *core.Message
 
 	// snd is the persistent sender state machine (rank 0 only); it is
@@ -196,7 +198,9 @@ func newNode(cfg Config, group netip.AddrPort, clk nodeClock, driven *LoopNet) (
 		addrs:    make(map[core.NodeID]netip.AddrPort),
 		lastSeen: make(map[core.NodeID]time.Duration),
 		timers:   make(map[core.TimerID]canceler),
-		recvQ:    make(chan *core.Message, 16),
+	}
+	if cfg.OnDeliver == nil {
+		n.recvQ = make(chan *core.Message, 16)
 	}
 	if driven == nil {
 		n.loop = make(chan work, loopDepth)
@@ -281,6 +285,7 @@ func (n *Node) onDeliver(msg []byte) {
 	}
 	if n.cfg.OnDeliver != nil {
 		n.cfg.OnDeliver(n.clk.Now(), msg)
+		return
 	}
 	// Queue a reference, not a copy: the receiver moves to a fresh
 	// buffer at its next session while this one is retained, and Recv
@@ -332,7 +337,8 @@ func (n *Node) Close() error {
 // the receiver's and every queued message's — so the last one hands
 // each back to the pool for the next session in the process (event
 // loop, at shutdown). A Recv racing the drain takes a message from the
-// queue instead and releases it itself.
+// queue instead and releases it itself. An OnDeliver node's nil queue
+// is never ready, so its drain ends at once.
 func (n *Node) release() {
 	if r, ok := n.ep.(*core.Receiver); ok {
 		r.Release()
@@ -722,9 +728,13 @@ func (n *Node) Leave() {
 // a copy the caller owns. The node queues up to 16 messages nobody has
 // received; past that it drops the oldest and counts it in
 // Metrics().RecvQEvictions. Messages still queued at Close are dropped.
+// A node built with Config.OnDeliver has no queue: Recv fails at once.
 func (n *Node) Recv(ctx context.Context) ([]byte, error) {
 	if n.cfg.Rank == core.SenderID {
 		return nil, errors.New("live: Recv on the sender rank")
+	}
+	if n.recvQ == nil {
+		return nil, errors.New("live: Recv on a node that delivers through OnDeliver")
 	}
 	select {
 	case m := <-n.recvQ:

@@ -28,7 +28,13 @@ func (nullTransport) Close()                         {}
 // reader through handoff and the loop through step.
 func detachedNode(t *testing.T, pcfg core.Config, rank core.NodeID) *Node {
 	t.Helper()
-	n, err := newNode(Config{Rank: rank, Protocol: pcfg},
+	return detachedNodeConfig(t, Config{Rank: rank, Protocol: pcfg})
+}
+
+// detachedNodeConfig is detachedNode for a full node Config.
+func detachedNodeConfig(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	n, err := newNode(cfg,
 		netip.MustParseAddrPort("239.77.91.1:17000"), realClock{epoch: time.Now()}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +152,51 @@ func TestLiveDeliveryPathZeroAllocs(t *testing.T) {
 	if got, want := n.Metrics().RecvQEvictions, uint64(next-cap(n.recvQ)); got != want {
 		t.Fatalf("%d messages evicted, want %d: the messages were not all delivered", got, want)
 	}
+}
+
+// TestOnDeliverNodeHasNoRecvQueue: a node that hands deliveries to
+// Config.OnDeliver keeps none of them for Recv — no queue, no eviction,
+// no buffer retained past the hook — so after the first message every
+// delivery reuses the receiver's one buffer and allocates nothing, and
+// Recv fails at once instead of blocking.
+func TestOnDeliverNodeHasNoRecvQueue(t *testing.T) {
+	const msgs = 40
+	delivered := 0
+	msg := livePattern(4 * recvCfg.PacketSize)
+	n := detachedNodeConfig(t, Config{Rank: 1, Protocol: recvCfg,
+		OnDeliver: func(_ time.Duration, payload []byte) {
+			if bytes.Equal(payload, msg) {
+				delivered++
+			}
+		}})
+	var frames [][][]byte
+	for id := uint32(1); id <= msgs; id++ {
+		frames = append(frames, messageFrames(id, msg))
+	}
+	receive(t, n, frames[0])
+	next := 1
+	allocs := testing.AllocsPerRun(msgs-2, func() {
+		receive(t, n, frames[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a message delivered through OnDeliver allocates %.1f objects, want 0", allocs)
+	}
+	if delivered != msgs {
+		t.Fatalf("OnDeliver saw %d whole messages, want %d", delivered, msgs)
+	}
+	if n.recvQ != nil {
+		t.Fatal("a node with OnDeliver made a Recv queue")
+	}
+	if ev := n.Metrics().RecvQEvictions; ev != 0 {
+		t.Fatalf("%d evictions from a node with no queue", ev)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := n.Recv(ctx); err == nil || ctx.Err() != nil {
+		t.Fatalf("Recv on an OnDeliver node = %v, want an immediate error", err)
+	}
+	n.Close()
 }
 
 // TestRecvReturnsCallersCopy: Recv hands the application a copy, so

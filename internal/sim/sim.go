@@ -7,25 +7,40 @@
 // simulated world reads the wall clock.
 //
 // The engine is built for a near-zero-allocation steady state: event
-// records live in a slab ([]slot) recycled through a free list, the
-// priority queue is a hand-rolled min-heap of small value entries, and
-// the AtFunc/AfterFunc variants let hot paths schedule a package-level
+// records live in a slab ([]slot) recycled through a free list, and the
+// AtFunc/AfterFunc variants let hot paths schedule a package-level
 // function plus two argument words instead of allocating a closure per
-// event. Scheduling and firing allocate nothing once the slab and heap
-// have grown to the simulation's high-water mark.
+// event. Scheduling and firing allocate nothing once the slab and the
+// queue have grown to the simulation's high-water mark.
+//
+// The priority queue is a monotone radix heap over the (at, seq) order.
+// Event times only move forward, so the queue keeps last, the latest
+// time it has extracted, and files each later event in bucket k, where
+// k is the highest bit in which its time differs from last. Bucket k is
+// a linked list threaded through the slab (slot.next), so a bucket costs
+// no memory of its own. The entries at or before last sit in b0, a small
+// (at, seq) binary heap: it absorbs ties at one instant and pushes that
+// land between the clock and last, which NextAt and RunUntil make
+// possible. When b0 runs dry the lowest non-empty bucket is
+// redistributed around its earliest time, which becomes the new last:
+// every entry moves to a strictly lower bucket or into b0, so each entry
+// moves at most 63 times however long it waits. b0's minimum is always
+// the global (at, seq) minimum, so the pop order — and every result built
+// on it — is the one a plain binary heap gives.
 //
 // Cancellation is O(1): an EventID packs the event's slab index with a
 // per-slot generation counter, so Cancel is one bounds check and one
-// generation compare — no map lookup, no heap surgery. The cancelled
-// entry stays in the heap and is discarded lazily when it surfaces; when
-// more than half of the heap is dead weight the queue is compacted in
-// one pass, which bounds both heap and slab growth under heavy
-// cancel/reschedule churn (retransmit timers).
+// generation compare — no map lookup, no queue surgery. The cancelled
+// entry stays queued and is discarded lazily when it surfaces (in b0, or
+// when its bucket is redistributed); when more than half of the queue is
+// dead weight it is compacted in one pass, which bounds both queue and
+// slab growth under heavy cancel/reschedule churn (retransmit timers).
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -49,21 +64,26 @@ const (
 	slotCancelled
 )
 
+// noSlot ends a bucket list. schedule never issues it as a slot index:
+// the slab stops one short of math.MaxUint32 entries.
+const noSlot = math.MaxUint32
+
 // slot is one slab entry: the payload of a scheduled event. Slots are
-// recycled through the simulator's free list; gen counts recycles.
+// recycled through the simulator's free list; gen counts recycles. A
+// slot filed in a radix bucket links to the next one through next.
 type slot struct {
 	at    Time
 	seq   uint64
 	gen   uint32
+	next  uint32
 	state uint8
 	fn0   func()         // nullary callback (At/After)
 	fn    func(a, b any) // monomorphic callback (AtFunc/AfterFunc)
 	a, b  any
 }
 
-// entry is one priority-queue element. Keeping (at, seq) inline means
-// heap sifting never touches the slab, and the 24-byte value entries
-// keep the heap allocation-free and cache-friendly.
+// entry is one b0 element. Keeping (at, seq) inline means sifting never
+// touches the slab.
 type entry struct {
 	at  Time
 	seq uint64
@@ -77,17 +97,31 @@ func entryLess(a, b entry) bool {
 	return a.seq < b.seq
 }
 
+// bucket is one radix bucket: a FIFO list of slot indices linked through
+// slot.next, and the earliest time ever appended to it since it was last
+// empty. Entries are appended in scheduling order and redistribution
+// walks a list front to back, so every list stays in ascending seq order.
+type bucket struct {
+	head, tail uint32
+	min        Time
+}
+
 // Simulator is a discrete-event scheduler. The zero value is not usable;
 // call New. A Simulator is not safe for concurrent use: the simulated
 // world is single-threaded by design.
 type Simulator struct {
-	now     Time
-	queue   []entry  // min-heap on (at, seq)
+	now  Time
+	last Time    // latest time extracted into b0; every bucket entry is later
+	b0   []entry // min-heap on (at, seq) of the entries at or before last
+	// buckets[k] holds the entries whose time first differs from last
+	// in bit k; bit k of full is set while buckets[k] is non-empty.
+	buckets [63]bucket
+	full    uint64
 	slots   []slot   // slab of event payloads
 	free    []uint32 // recycled slot indices
 	nextSeq uint64
 	live    int // pending (not cancelled) events
-	dead    int // cancelled entries still parked in the heap
+	dead    int // cancelled entries still queued
 	fired   uint64
 }
 
@@ -98,7 +132,7 @@ func New() *Simulator { return &Simulator{} }
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of events waiting to fire (cancelled events
-// excluded, even while their heap entries await lazy removal).
+// excluded, even while their queue entries await lazy removal).
 func (s *Simulator) Pending() int { return s.live }
 
 // Fired returns the total number of events executed so far.
@@ -122,7 +156,7 @@ func (s *Simulator) schedule(at Time, fn0 func(), fn func(a, b any), a, b any) E
 		idx = s.free[n]
 		s.free = s.free[:n]
 	} else {
-		if len(s.slots) >= math.MaxUint32 {
+		if len(s.slots) >= noSlot {
 			panic("sim: event slab exhausted")
 		}
 		s.slots = append(s.slots, slot{})
@@ -133,7 +167,7 @@ func (s *Simulator) schedule(at Time, fn0 func(), fn func(a, b any), a, b any) E
 	sl.seq = s.nextSeq
 	sl.state = slotPending
 	sl.fn0, sl.fn, sl.a, sl.b = fn0, fn, a, b
-	s.push(entry{at: at, seq: s.nextSeq, idx: idx})
+	s.push(idx, at, s.nextSeq)
 	s.live++
 	return EventID(uint64(sl.gen)<<32 | uint64(idx) + 1)
 }
@@ -195,14 +229,14 @@ func (s *Simulator) Cancel(id EventID) bool {
 	s.dead++
 	// Compact once dead entries outnumber live ones: a single O(n) pass
 	// amortized against the >n cancels that created the dead weight, so
-	// cancel/reschedule churn cannot grow the heap or slab unboundedly.
+	// cancel/reschedule churn cannot grow the queue or slab unboundedly.
 	if s.dead > 64 && s.dead > s.live {
 		s.compact()
 	}
 	return true
 }
 
-// freeSlot recycles a slot whose heap entry has been removed.
+// freeSlot recycles a slot whose queue entry has been removed.
 func (s *Simulator) freeSlot(idx uint32) {
 	sl := &s.slots[idx]
 	sl.state = slotFree
@@ -211,20 +245,36 @@ func (s *Simulator) freeSlot(idx uint32) {
 	s.free = append(s.free, idx)
 }
 
-// compact filters cancelled entries out of the heap in one pass and
-// re-establishes the heap property.
+// compact drops every cancelled entry from b0 and the buckets in one
+// pass and re-establishes b0's heap property. Bucket lists keep their
+// order.
 func (s *Simulator) compact() {
-	kept := s.queue[:0]
-	for _, e := range s.queue {
+	kept := s.b0[:0]
+	for _, e := range s.b0 {
 		if s.slots[e.idx].state == slotCancelled {
 			s.freeSlot(e.idx)
 			continue
 		}
 		kept = append(kept, e)
 	}
-	s.queue = kept
+	s.b0 = kept
 	for i := len(kept)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
+	}
+	for full := s.full; full != 0; full &= full - 1 {
+		k := bits.TrailingZeros64(full)
+		idx := s.buckets[k].head
+		s.full &^= 1 << k
+		for idx != noSlot {
+			sl := &s.slots[idx]
+			next := sl.next
+			if sl.state == slotCancelled {
+				s.freeSlot(idx)
+			} else {
+				s.appendTo(k, idx, sl.at)
+			}
+			idx = next
+		}
 	}
 	s.dead = 0
 }
@@ -232,45 +282,50 @@ func (s *Simulator) compact() {
 // Step fires the single next event, advancing the clock to it. It reports
 // whether an event was fired (false means no live events remain).
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		sl := &s.slots[e.idx]
-		if sl.state == slotCancelled {
-			s.popTop()
-			s.freeSlot(e.idx)
-			s.dead--
-			continue
-		}
-		s.popTop()
-		fn0, fn, a, b := sl.fn0, sl.fn, sl.a, sl.b
-		s.freeSlot(e.idx)
-		s.live--
-		s.now = e.at
-		s.fired++
-		if fn != nil {
-			fn(a, b)
-		} else {
-			fn0()
-		}
-		return true
+	if !s.prune() {
+		return false
 	}
-	return false
+	e := s.b0[0]
+	s.popTop()
+	sl := &s.slots[e.idx]
+	fn0, fn, a, b := sl.fn0, sl.fn, sl.a, sl.b
+	s.freeSlot(e.idx)
+	s.live--
+	s.now = e.at
+	s.fired++
+	if fn != nil {
+		fn(a, b)
+	} else {
+		fn0()
+	}
+	return true
 }
 
-// nextAt returns the timestamp of the next live event, pruning dead heap
+// prune brings the next live event to the top of b0, freeing the
+// cancelled entries it meets on the way. It reports false when no live
+// event remains.
+func (s *Simulator) prune() bool {
+	for {
+		if len(s.b0) == 0 && !s.refill() {
+			return false
+		}
+		idx := s.b0[0].idx
+		if s.slots[idx].state != slotCancelled {
+			return true
+		}
+		s.popTop()
+		s.freeSlot(idx)
+		s.dead--
+	}
+}
+
+// nextAt returns the timestamp of the next live event, pruning dead
 // entries it encounters on the way.
 func (s *Simulator) nextAt() (Time, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if s.slots[e.idx].state == slotCancelled {
-			s.popTop()
-			s.freeSlot(e.idx)
-			s.dead--
-			continue
-		}
-		return e.at, true
+	if !s.prune() {
+		return 0, false
 	}
-	return 0, false
+	return s.b0[0].at, true
 }
 
 // NextAt returns the timestamp of the next live event without firing
@@ -304,11 +359,75 @@ func (s *Simulator) RunUntil(deadline Time) bool {
 	}
 }
 
-// push appends e and restores the heap property.
-func (s *Simulator) push(e entry) {
-	s.queue = append(s.queue, e)
-	i := len(s.queue) - 1
-	q := s.queue
+// push files a newly scheduled slot: into b0 when it is not later than
+// last, else into the bucket of the highest bit in which at differs
+// from last.
+func (s *Simulator) push(idx uint32, at Time, seq uint64) {
+	if at <= s.last {
+		s.heapPush(entry{at: at, seq: seq, idx: idx})
+		return
+	}
+	s.appendTo(bits.Len64(uint64(at^s.last))-1, idx, at)
+}
+
+// appendTo links slot idx, due at at, at the tail of bucket k.
+func (s *Simulator) appendTo(k int, idx uint32, at Time) {
+	s.slots[idx].next = noSlot
+	b := &s.buckets[k]
+	if s.full&(1<<k) == 0 {
+		s.full |= 1 << k
+		b.head, b.min = idx, at
+	} else {
+		s.slots[b.tail].next = idx
+		if at < b.min {
+			b.min = at
+		}
+	}
+	b.tail = idx
+}
+
+// refill runs when b0 is empty. It takes the lowest non-empty bucket,
+// advances last to the bucket's earliest time and redistributes the
+// bucket around it: cancelled entries are freed, the entries at last go
+// to b0, the others to strictly lower buckets (they share every bit
+// above k with the new last). Buckets above k keep their contents, since
+// last has not changed in any bit above k. refill repeats until b0 holds
+// something and reports false if the queue ran dry first. The earliest
+// entry may be a cancelled one; last then names a time nothing live is
+// due at, which is harmless: it still lower-bounds every bucket entry.
+func (s *Simulator) refill() bool {
+	for len(s.b0) == 0 {
+		if s.full == 0 {
+			return false
+		}
+		k := bits.TrailingZeros64(s.full)
+		b := s.buckets[k]
+		s.full &^= 1 << k
+		last := b.min
+		s.last = last
+		for idx := b.head; idx != noSlot; {
+			sl := &s.slots[idx]
+			next := sl.next
+			switch {
+			case sl.state == slotCancelled:
+				s.freeSlot(idx)
+				s.dead--
+			case sl.at == last:
+				s.heapPush(entry{at: sl.at, seq: sl.seq, idx: idx})
+			default:
+				s.appendTo(bits.Len64(uint64(sl.at^last))-1, idx, sl.at)
+			}
+			idx = next
+		}
+	}
+	return true
+}
+
+// heapPush appends e to b0 and restores the heap property.
+func (s *Simulator) heapPush(e entry) {
+	s.b0 = append(s.b0, e)
+	i := len(s.b0) - 1
+	q := s.b0
 	for i > 0 {
 		p := (i - 1) / 2
 		if !entryLess(e, q[p]) {
@@ -320,20 +439,20 @@ func (s *Simulator) push(e entry) {
 	q[i] = e
 }
 
-// popTop removes the heap minimum.
+// popTop removes b0's minimum.
 func (s *Simulator) popTop() {
-	q := s.queue
+	q := s.b0
 	n := len(q) - 1
 	q[0] = q[n]
-	s.queue = q[:n]
+	s.b0 = q[:n]
 	if n > 0 {
 		s.siftDown(0)
 	}
 }
 
-// siftDown restores the heap property below index i.
+// siftDown restores b0's heap property below index i.
 func (s *Simulator) siftDown(i int) {
-	q := s.queue
+	q := s.b0
 	n := len(q)
 	e := q[i]
 	for {

@@ -95,11 +95,16 @@ func (s *Sender) Check() {
 
 // MinTracker tracks the minimum of monotonically non-decreasing
 // cumulative acknowledgments across a fixed peer set. Peers are dense
-// small integers (receiver ranks or chain-head ranks).
+// small non-negative integers (receiver ranks or chain-head ranks), so
+// the tracker indexes slices by peer. It also counts the peers sitting at
+// the minimum: an acknowledgment from one of them costs O(1), and only
+// the last one to leave the floor pays an O(peers) rescan.
 type MinTracker struct {
-	vals map[int]uint32
-	min  uint32
-	ok   bool // min cache valid
+	vals  []uint32 // by peer
+	in    []bool   // by peer: tracked
+	n     int      // tracked peers
+	min   uint32   // lower-bounds every tracked value
+	atMin int      // tracked peers whose value equals min; 0: rescan due
 }
 
 // NewMinTracker creates a tracker over peers, all starting at zero.
@@ -107,32 +112,46 @@ func NewMinTracker(peers []int) *MinTracker {
 	if len(peers) == 0 {
 		panic("window: MinTracker with no peers")
 	}
-	m := &MinTracker{vals: make(map[int]uint32, len(peers))}
+	top := 0
 	for _, p := range peers {
-		m.vals[p] = 0
+		top = max(top, p)
 	}
+	m := &MinTracker{vals: make([]uint32, top+1), in: make([]bool, top+1)}
+	for _, p := range peers {
+		if !m.in[p] {
+			m.in[p] = true
+			m.n++
+		}
+	}
+	m.atMin = m.n
 	return m
+}
+
+// tracked reports whether peer is in the tracked set.
+func (m *MinTracker) tracked(peer int) bool {
+	return peer >= 0 && peer < len(m.in) && m.in[peer]
 }
 
 // Update raises peer's cumulative value to v (ignored if lower, or if the
 // peer is not tracked — e.g. a non-head receiver in the tree protocol).
 // It returns true if the overall minimum may have changed.
 func (m *MinTracker) Update(peer int, v uint32) bool {
-	old, tracked := m.vals[peer]
-	if !tracked || v <= old {
+	if !m.tracked(peer) || v <= m.vals[peer] {
 		return false
 	}
-	m.vals[peer] = v
-	if old == m.min {
-		m.ok = false // the old minimum held the floor; recompute lazily
+	if m.vals[peer] == m.min {
+		m.atMin-- // one fewer peer holds the floor
 	}
+	m.vals[peer] = v
 	return true
 }
 
 // Value returns peer's current cumulative value and whether it is tracked.
 func (m *MinTracker) Value(peer int) (uint32, bool) {
-	v, ok := m.vals[peer]
-	return v, ok
+	if !m.tracked(peer) {
+		return 0, false
+	}
+	return m.vals[peer], true
 }
 
 // Remove drops peer from the tracked set (membership ejection). It
@@ -141,13 +160,13 @@ func (m *MinTracker) Value(peer int) (uint32, bool) {
 // becoming empty (Peers() == 0), which means no acknowledgment is owed
 // by anyone.
 func (m *MinTracker) Remove(peer int) bool {
-	old, ok := m.vals[peer]
-	if !ok {
+	if !m.tracked(peer) {
 		return false
 	}
-	delete(m.vals, peer)
-	if old == m.min {
-		m.ok = false // the floor may have been held by the removed peer
+	m.in[peer] = false
+	m.n--
+	if m.vals[peer] == m.min {
+		m.atMin--
 	}
 	return true
 }
@@ -157,29 +176,42 @@ func (m *MinTracker) Remove(peer int) bool {
 // its acknowledgment stream. v must lower-bound the new peer's true
 // progress so monotonicity is preserved; the ejected head's last
 // reported aggregate qualifies (a chain's aggregate only grows when a
-// member is removed from the minimum).
+// member is removed from the minimum). Adding a tracked peer resets its
+// value to v.
 func (m *MinTracker) Add(peer int, v uint32) {
+	if peer >= len(m.in) {
+		m.vals = append(m.vals, make([]uint32, peer+1-len(m.vals))...)
+		m.in = append(m.in, make([]bool, peer+1-len(m.in))...)
+	}
+	m.Remove(peer)
+	m.in[peer] = true
+	m.n++
 	m.vals[peer] = v
-	if v < m.min {
-		m.min = v
+	switch {
+	case v < m.min:
+		m.min, m.atMin = v, 1
+	case v == m.min:
+		m.atMin++
 	}
 }
 
 // Min returns the minimum cumulative value across all peers.
 func (m *MinTracker) Min() uint32 {
-	if m.ok {
+	if m.atMin > 0 || m.n == 0 {
 		return m.min
 	}
 	first := true
-	for _, v := range m.vals {
-		if first || v < m.min {
-			m.min = v
-			first = false
+	for p, in := range m.in {
+		switch v := m.vals[p]; {
+		case !in:
+		case first || v < m.min:
+			m.min, m.atMin, first = v, 1, false
+		case v == m.min:
+			m.atMin++
 		}
 	}
-	m.ok = true
 	return m.min
 }
 
 // Peers returns the number of tracked peers.
-func (m *MinTracker) Peers() int { return len(m.vals) }
+func (m *MinTracker) Peers() int { return m.n }

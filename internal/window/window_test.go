@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -389,5 +390,79 @@ func TestMinTrackerDuplicateUpdates(t *testing.T) {
 	}
 	if m.Min() != 4 {
 		t.Fatalf("min corrupted to %d by duplicate updates", m.Min())
+	}
+}
+
+// TestMinTrackerMatchesMapReference drives MinTracker and a plain map
+// through random Update/Remove/Add/Value/Min/Peers sequences — peers
+// re-added after removal, added below the current floor, added beyond
+// the initial peer range, the tracker emptied and refilled — and
+// requires the same answers from both.
+func TestMinTrackerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		npeers := 1 + rng.Intn(40)
+		var peers []int
+		ref := map[int]uint32{}
+		for p := 0; p < npeers; p++ {
+			if rng.Intn(4) != 0 || p == npeers-1 && len(peers) == 0 {
+				peers = append(peers, p)
+				ref[p] = 0
+			}
+		}
+		m := NewMinTracker(peers)
+		refMin := func() uint32 {
+			min, first := uint32(0), true
+			for _, v := range ref {
+				if first || v < min {
+					min, first = v, false
+				}
+			}
+			return min
+		}
+		for step := 0; step < 400; step++ {
+			p := rng.Intn(npeers + 8) // some peers were never tracked
+			switch op := rng.Intn(10); {
+			case op < 5:
+				v := uint32(rng.Intn(64))
+				old, tracked := ref[p]
+				want := tracked && v > old
+				if want {
+					ref[p] = v
+				}
+				if got := m.Update(p, v); got != want {
+					t.Fatalf("round %d step %d: Update(%d, %d) = %v, want %v", round, step, p, v, got, want)
+				}
+			case op < 7:
+				_, want := ref[p]
+				delete(ref, p)
+				if got := m.Remove(p); got != want {
+					t.Fatalf("round %d step %d: Remove(%d) = %v, want %v", round, step, p, got, want)
+				}
+			case op < 8:
+				// Re-add below, at or above the current floor.
+				v := uint32(rng.Intn(64))
+				if len(ref) > 0 && rng.Intn(2) == 0 {
+					if f := refMin(); f > 0 {
+						v = f - 1 - uint32(rng.Intn(int(f)))
+					}
+				}
+				ref[p] = v
+				m.Add(p, v)
+			case op < 9:
+				want, wantOK := ref[p]
+				if got, ok := m.Value(p); got != want || ok != wantOK {
+					t.Fatalf("round %d step %d: Value(%d) = %d,%v, want %d,%v", round, step, p, got, ok, want, wantOK)
+				}
+			}
+			if m.Peers() != len(ref) {
+				t.Fatalf("round %d step %d: Peers() = %d, want %d", round, step, m.Peers(), len(ref))
+			}
+			if len(ref) > 0 && rng.Intn(3) == 0 {
+				if got, want := m.Min(), refMin(); got != want {
+					t.Fatalf("round %d step %d: Min() = %d, want %d (%d peers)", round, step, got, want, len(ref))
+				}
+			}
+		}
 	}
 }
