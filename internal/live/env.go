@@ -5,12 +5,14 @@ import (
 
 	"rmcast/internal/core"
 	"rmcast/internal/packet"
+	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 )
 
 // liveEnv implements core.Env on top of the node's transport, clock,
-// and event loop. All methods are invoked from the event loop (the
-// protocol endpoints only run there), so no extra locking is needed.
+// timer queue and event loop. All methods are invoked from the event
+// loop (the protocol endpoints only run there), so no extra locking is
+// needed.
 type liveEnv struct {
 	n *Node
 }
@@ -45,26 +47,21 @@ func (e *liveEnv) Multicast(p *packet.Packet) {
 	e.n.codec.Multicast(p)
 }
 
+// SetTimer arms fn on the node's timer queue. The queue's EventID is
+// the TimerID, so arming and cancelling allocate nothing, and
+// cancelling a timer that has fired is a no-op.
 func (e *liveEnv) SetTimer(d time.Duration, fn func()) core.TimerID {
 	n := e.n
-	n.nextTimer++
-	id := n.nextTimer
-	n.timers[id] = n.clk.AfterFunc(d, func() {
-		n.post(func() {
-			if _, live := n.timers[id]; !live {
-				return // cancelled after firing, before the loop ran it
-			}
-			delete(n.timers, id)
-			fn()
-		})
-	})
-	return id
+	return core.TimerID(n.q.AtFunc(n.clk.Now()+d, fireTimer, n, fn))
 }
 
-func (e *liveEnv) CancelTimer(id core.TimerID) {
-	if t, ok := e.n.timers[id]; ok {
-		t.Stop()
-		delete(e.n.timers, id)
+func (e *liveEnv) CancelTimer(id core.TimerID) { e.n.q.Cancel(sim.EventID(id)) }
+
+// fireTimer runs a timer's fn on the node's event loop, unless the node
+// has closed since it was armed.
+func fireTimer(a, b any) {
+	if n := a.(*Node); !n.isClosed() {
+		b.(func())()
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"rmcast/internal/core"
 	"rmcast/internal/metrics"
 	"rmcast/internal/packet"
+	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 	"rmcast/internal/wire"
 )
@@ -94,10 +95,9 @@ type Node struct {
 	// driver executes posted work between simulator events.
 	driven *LoopNet
 
-	loop      chan work // loopDepth deep; nil on a driven node
-	closing   chan struct{}
-	wg        sync.WaitGroup
-	stopHello func()
+	loop    chan work // loopDepth deep; nil on a driven node
+	closing chan struct{}
+	wg      sync.WaitGroup
 
 	// mx counts the node's protocol activity. Its instruments are
 	// atomic, so Metrics() snapshots are safe from any goroutine.
@@ -118,11 +118,15 @@ type Node struct {
 
 	// Everything below is owned by the event loop — the runLoop
 	// goroutine on a UDP node, the loopback driver in driven mode.
+	//
+	// q holds the node's protocol timers and its hello tick as events,
+	// timestamped on the node clock: the node's own queue on a UDP node,
+	// which runLoop fires as the wall clock reaches them, and the
+	// network's simulator on a driven node.
+	q         *sim.Simulator
 	addrs     map[core.NodeID]netip.AddrPort
 	lastSeen  map[core.NodeID]time.Duration
 	ep        core.Endpoint
-	timers    map[core.TimerID]canceler
-	nextTimer core.TimerID
 	readyWait []readyWaiter
 	// curMsgStart is when the current message's first packet was heard
 	// (receiver ranks); it anchors the completion-latency observation.
@@ -197,13 +201,15 @@ func newNode(cfg Config, group netip.AddrPort, clk nodeClock, driven *LoopNet) (
 		mx:       metrics.NewSession(),
 		addrs:    make(map[core.NodeID]netip.AddrPort),
 		lastSeen: make(map[core.NodeID]time.Duration),
-		timers:   make(map[core.TimerID]canceler),
 	}
 	if cfg.OnDeliver == nil {
 		n.recvQ = make(chan *core.Message, 16)
 	}
 	if driven == nil {
 		n.loop = make(chan work, loopDepth)
+		n.q = sim.New()
+	} else {
+		n.q = driven.sim
 	}
 	n.emit = func(p *packet.Packet) { n.onPacket(p, n.src) }
 	// The send closure reads n.tr at send time: the transport is
@@ -252,9 +258,11 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.tr = tr
+	// The loop owns q from its first instruction, so the first hello is
+	// scheduled before it starts.
+	n.startHello()
 	n.wg.Add(1)
 	go n.runLoop()
-	n.startHello()
 	return n, nil
 }
 
@@ -319,9 +327,6 @@ func (n *Node) LocalAddr() *net.UDPAddr { return n.tr.LocalAddr() }
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.closing)
-		if n.stopHello != nil {
-			n.stopHello()
-		}
 		n.tr.Close()
 		if n.driven != nil {
 			// The driver is this node's event loop, and nothing is posted
@@ -359,22 +364,26 @@ func (n *Node) release() {
 func (n *Node) post(fn func()) {
 	if n.driven == nil {
 		n.push(work{fn: fn})
-		return
+	} else if !n.isClosed() {
+		n.driven.enqueue(loopWork{fn: fn})
 	}
+}
+
+// isClosed reports whether Close has begun (any goroutine).
+func (n *Node) isClosed() bool {
 	select {
 	case <-n.closing:
+		return true
 	default:
-		n.driven.enqueue(loopWork{fn: fn})
+		return false
 	}
 }
 
 // push queues w on a UDP node's event loop, blocking while the loop is
 // full (no-op after Close).
 func (n *Node) push(w work) {
-	select {
-	case <-n.closing:
+	if n.isClosed() {
 		return
-	default:
 	}
 	select {
 	case n.loop <- w:
@@ -398,22 +407,46 @@ func (n *Node) run(w work) {
 	n.mx.AddSenderBusy(time.Since(t0))
 }
 
+// runLoop is a UDP node's event loop. Besides the queued work it runs
+// the timer queue's due events whenever its one wall-clock timer fires,
+// timed like any other unit; the timer is re-armed only when the queue's
+// next deadline moves.
 func (n *Node) runLoop() {
 	defer n.wg.Done()
+	wake := time.NewTimer(time.Hour)
+	wake.Stop()
+	defer wake.Stop()
+	// armed: wake is set for wakeAt and its tick is not yet received.
+	armed, wakeAt := false, time.Duration(0)
 	for {
+		if at, ok := n.q.NextAt(); ok && (!armed || at != wakeAt) {
+			// go.mod's go 1.22 keeps the buffered timer channel, so a
+			// tick already sent must be drained before Reset.
+			if armed && !wake.Stop() {
+				select {
+				case <-wake.C:
+				default:
+				}
+			}
+			wake.Reset(at - n.clk.Now())
+			armed, wakeAt = true, at
+		}
 		select {
 		case w := <-n.loop:
 			n.run(w)
+		case <-wake.C:
+			armed = false
+			t0 := time.Now()
+			n.q.RunUntil(n.clk.Now())
+			n.mx.AddSenderBusy(time.Since(t0))
 		case <-n.closing:
-			// Drain whatever is queued, stop timers, release buffers.
+			// Drain whatever is queued, release buffers. Armed timers die
+			// with the queue.
 			for {
 				select {
 				case w := <-n.loop:
 					n.run(w)
 				default:
-					for _, t := range n.timers {
-						t.Stop()
-					}
 					n.release()
 					return
 				}
@@ -538,16 +571,24 @@ func (n *Node) whenReady(want int, fn func()) {
 }
 
 // startHello announces this node immediately and then every
-// HelloInterval until Close. Each tick also sweeps the heartbeat table
-// for expired peers.
+// HelloInterval until Close, on the node's timer queue. Each tick also
+// sweeps the heartbeat table for expired peers.
 func (n *Node) startHello() {
 	n.post(func() { n.sendHello(true) })
-	n.stopHello = n.clk.Tick(n.cfg.HelloInterval, func() {
-		n.post(func() {
-			n.sendHello(true)
-			n.checkPeers()
-		})
-	})
+	n.q.AtFunc(n.clk.Now()+n.cfg.HelloInterval, helloTick, n, nil)
+}
+
+// helloTick is one hello-interval event. It reschedules itself before
+// sending, so the next tick precedes this tick's datagrams in the
+// queue's same-instant order, and it stops for good on a closed node.
+func helloTick(a, _ any) {
+	n := a.(*Node)
+	if n.isClosed() {
+		return
+	}
+	n.q.AtFunc(n.clk.Now()+n.cfg.HelloInterval, helloTick, n, nil)
+	n.sendHello(true)
+	n.checkPeers()
 }
 
 // checkPeers expires silent receivers (event loop, sender only): a

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rmcast/internal/packet"
@@ -37,15 +36,17 @@ type LoopConfig struct {
 // Node code that runs over UDP sockets (same core.Env, same event-loop
 // logic, same discovery and failure detection) runs instead over
 // channel-free in-process delivery scheduled on a discrete-event
-// simulator. There are no per-node goroutines — the driver goroutine
-// owns the simulator and executes all node work — so a run is a pure
-// function of (config, seed, stimuli): replayable, fuzzable, and
-// auditable by the internal/check invariant suite.
+// simulator, which is also every node's timer queue. There are no
+// per-node goroutines — the driver goroutine owns the simulator and
+// executes all node work — so a run is a pure function of (config,
+// seed, stimuli): replayable, fuzzable, and auditable by the
+// internal/check invariant suite.
 //
 // Confinement contract: LoopNet and its nodes must be driven from one
 // goroutine (the test), via Run/At and the nodes' non-blocking entry
 // points (startSend, Close). The inbox is the only cross-goroutine
-// seam, kept so stray real-time timers cannot corrupt state.
+// seam, kept so that work posted from another goroutine cannot corrupt
+// state.
 type LoopNet struct {
 	cfg   LoopConfig
 	sim   *sim.Simulator
@@ -307,47 +308,7 @@ func (p *loopPort) WriteTo(b []byte, addr netip.AddrPort) {
 	}
 }
 
-// loopClock drives a node's timers from the network's virtual clock.
+// loopClock reads the network's virtual clock.
 type loopClock struct{ ln *LoopNet }
 
 func (c loopClock) Now() time.Duration { return c.ln.sim.Now() }
-
-func (c loopClock) AfterFunc(d time.Duration, fn func()) canceler {
-	return loopTimer{ln: c.ln, id: c.ln.sim.After(d, fn)}
-}
-
-func (c loopClock) Tick(d time.Duration, fn func()) (stop func()) {
-	t := &loopTicker{ln: c.ln, d: d, fn: fn}
-	t.reschedule()
-	return t.stop
-}
-
-type loopTimer struct {
-	ln *LoopNet
-	id sim.EventID
-}
-
-func (t loopTimer) Stop() bool { return t.ln.sim.Cancel(t.id) }
-
-// loopTicker self-reschedules on the simulator. stop only flips a flag
-// (it may be called from Node.Close outside a simulator event); the
-// final pending fire notices and does not reschedule, so a stopped
-// ticker drains out of the event queue by itself.
-type loopTicker struct {
-	ln      *LoopNet
-	d       time.Duration
-	fn      func()
-	stopped atomic.Bool
-}
-
-func (t *loopTicker) reschedule() { t.ln.sim.After(t.d, t.fire) }
-
-func (t *loopTicker) fire() {
-	if t.stopped.Load() {
-		return
-	}
-	t.fn()
-	t.reschedule()
-}
-
-func (t *loopTicker) stop() { t.stopped.Store(true) }

@@ -119,11 +119,13 @@ func TestLoopbackAdaptiveCutsRetransmissions(t *testing.T) {
 	}
 }
 
-// TestLoopbackTimerMapDrains pins the delete-on-fire contract of the
-// node timer table: across repeated transfers every armed timer is
-// eventually removed (fired or cancelled), so the map cannot grow
-// without bound on a long-lived node.
-func TestLoopbackTimerMapDrains(t *testing.T) {
+// TestLoopbackTimerQueueDrains pins the lifecycle of the timer events
+// live nodes put on the network's queue: across repeated transfers the
+// events left waiting between transfers do not grow (each armed timer
+// fires or is cancelled), and once every node is closed its hello tick
+// and timers leave the queue within a hello interval plus an RTO.
+func TestLoopbackTimerQueueDrains(t *testing.T) {
+	const hello = 5 * time.Millisecond
 	ln := NewLoopNet(LoopConfig{Seed: 11})
 	pcfg := core.Config{
 		Protocol:     core.ProtoACK,
@@ -133,14 +135,22 @@ func TestLoopbackTimerMapDrains(t *testing.T) {
 	}
 	var nodes []*Node
 	for r := 0; r <= pcfg.NumReceivers; r++ {
-		n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg,
-			HelloInterval: 5 * time.Millisecond})
+		n, err := ln.Node(Config{Rank: core.NodeID(r), Protocol: pcfg, HelloInterval: hello})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, n)
 	}
+	// settle lets trailing work land, then stops 1ms short of the next
+	// hello tick, when no hello or reply is in flight: every pending
+	// event is then a hello tick or a node timer.
+	settle := func() int {
+		ln.Run(ln.Now() + 50*time.Millisecond)
+		ln.Run((ln.Now()/hello+1)*hello - time.Millisecond)
+		return ln.sim.Pending()
+	}
 	sender := nodes[0]
+	var pending []int
 	for round := 0; round < 3; round++ {
 		msg := loopPattern(30000 + round*1111)
 		done := false
@@ -153,24 +163,25 @@ func TestLoopbackTimerMapDrains(t *testing.T) {
 		if !done || sendErr != nil {
 			t.Fatalf("round %d: done=%v err=%v", round, done, sendErr)
 		}
+		pending = append(pending, settle())
 	}
-	// Settle in-flight trailing work, then audit every node's table.
-	// Only the sender is guaranteed to arm timers (ACK receivers are
-	// purely reactive), so it carries the "test exercised the table"
-	// check; the leak bound applies to everyone.
-	ln.Run(ln.Now() + 50*time.Millisecond)
-	if sender.nextTimer < 3 {
-		t.Errorf("sender armed only %d timers across 3 transfers; the test is not exercising the table",
-			sender.nextTimer)
+	if pending[0] < len(nodes) {
+		t.Fatalf("%d events pending after round 1, fewer than the %d nodes' hello ticks", pending[0], len(nodes))
 	}
-	for _, n := range nodes {
-		if len(n.timers) > 2 {
-			t.Errorf("rank %d still tracks %d timers after 3 completed transfers (armed %d total); fired timers are leaking in the map",
-				n.Rank(), len(n.timers), n.nextTimer)
-		}
+	if pending[2] > pending[0] {
+		t.Errorf("events pending between transfers grew from %d after round 1 to %d after round 3; timers are leaking",
+			pending[0], pending[2])
 	}
 	for _, n := range nodes {
 		n.Close()
+	}
+	norm, err := pcfg.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Run(ln.Now() + hello + norm.RetransTimeout)
+	if got := ln.sim.Pending(); got != 0 {
+		t.Errorf("%d events still pending after every node closed", got)
 	}
 }
 
@@ -252,8 +263,10 @@ func TestLoopbackPeerExpiryCompletesOnce(t *testing.T) {
 
 // TestLiveCloseLeaksNoGoroutines pins the shutdown lifecycle of the
 // real UDP node: after Close returns, every goroutine the node spawned
-// (event loop, two socket readers, hello ticker) has exited — even when
-// the node is torn down mid-transfer with callbacks still queued.
+// has exited — the event loop and the two socket readers; hellos and
+// timers are events on the loop's own queue, so no ticker goroutine
+// exists — even when the node is torn down mid-transfer with callbacks
+// still queued.
 func TestLiveCloseLeaksNoGoroutines(t *testing.T) {
 	multicastAvailable(t)
 	before := runtime.NumGoroutine()

@@ -12,32 +12,21 @@ import (
 )
 
 // This file defines the two seams that separate a Node's protocol logic
-// from its runtime: where datagrams go (transport) and where time comes
-// from (nodeClock). Production nodes bind them to real UDP sockets and
-// the wall clock; the deterministic loopback network (loopback.go)
-// binds them to channel-free in-process delivery over a discrete-event
-// simulator, which is what makes live sessions replayable.
+// from its runtime: where datagrams go (transport) and what time it is
+// (nodeClock). Production nodes bind them to real UDP sockets and the
+// wall clock; the deterministic loopback network (loopback.go) binds
+// them to channel-free in-process delivery over a discrete-event
+// simulator, which is what makes live sessions replayable. Timers are
+// not a seam: they are events on the node's timer queue (Node.q), which
+// a UDP node's loop runs against the wall clock and the loopback
+// network runs as part of its own simulator.
 
-// canceler is a stoppable one-shot timer handle. *time.Timer satisfies
-// it; the loopback clock wraps a simulator event id.
-type canceler interface {
-	// Stop cancels the timer if it has not fired yet, reporting whether
-	// it did anything.
-	Stop() bool
-}
-
-// nodeClock supplies a node's notion of elapsed time and timers. Now is
-// relative to the clock's epoch (node creation for the wall clock, net
-// creation for loopback), so all node timekeeping is expressed as
-// offsets, never absolute instants.
+// nodeClock supplies a node's notion of elapsed time. Now is relative
+// to the clock's epoch (node creation for the wall clock, net creation
+// for loopback), so all node timekeeping is expressed as offsets, never
+// absolute instants.
 type nodeClock interface {
 	Now() time.Duration
-	// AfterFunc runs fn once after d. fn may run on any goroutine; the
-	// node trampolines it onto its event loop itself.
-	AfterFunc(d time.Duration, fn func()) canceler
-	// Tick runs fn every d until the returned stop function is called.
-	// stop is idempotent and does not wait for an in-flight fn.
-	Tick(d time.Duration, fn func()) (stop func())
 }
 
 // transport moves encoded datagrams for one node. Inbound datagrams are
@@ -57,28 +46,6 @@ type transport interface {
 type realClock struct{ epoch time.Time }
 
 func (c realClock) Now() time.Duration { return time.Since(c.epoch) }
-
-func (c realClock) AfterFunc(d time.Duration, fn func()) canceler {
-	return time.AfterFunc(d, fn)
-}
-
-func (c realClock) Tick(d time.Duration, fn func()) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				fn()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
 
 // udpTransport is the production transport: a multicast listener joined
 // to the group plus a unicast socket that sources every transmission,

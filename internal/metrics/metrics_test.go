@@ -271,3 +271,12 @@ func TestLiveTransportCounters(t *testing.T) {
 		t.Errorf("merge: send_errors=%d recvq_evictions=%d, want 2 and 4", got.SendErrors, got.RecvQEvictions)
 	}
 }
+
+// TestNewSessionAllocs: a session, its registry and its instruments
+// are one allocation, so building one per run or per live node is
+// cheap.
+func TestNewSessionAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { NewSession() }); allocs > 2 {
+		t.Errorf("NewSession allocates %.0f objects, want at most 2", allocs)
+	}
+}

@@ -63,38 +63,85 @@ type Session struct {
 	rtt        *Histogram
 
 	mu      sync.Mutex
-	perRecv map[int]time.Duration
+	perRecv map[int]time.Duration // made at the first completion
+}
+
+// Instrument counts of a Session: a sent and a received counter per
+// packet type plus the named scalars NewSession registers.
+const (
+	numCounters = 2*numTypes + 13
+	numGauges   = 2
+	numHists    = 2
+)
+
+// sendNames and recvNames are the per-packet-type counter names, built
+// once for every session.
+var sendNames, recvNames = typeNames("send."), typeNames("recv.")
+
+func typeNames(prefix string) (names [numTypes]string) {
+	for t := range names {
+		names[t] = prefix + packet.Type(t).String()
+	}
+	return names
+}
+
+// sessionBlock is everything a session owns, laid out as one
+// allocation: the session, its registry, the instruments and the
+// registry's exact-size registration slices.
+type sessionBlock struct {
+	s        Session
+	reg      Registry
+	counters [numCounters]Counter
+	gauges   [numGauges]Gauge
+	hists    [numHists]Histogram
+	cnames   [numCounters]namedInstrument[*Counter]
+	gnames   [numGauges]namedInstrument[*Gauge]
+	hnames   [numHists]namedInstrument[*Histogram]
 }
 
 // NewSession creates a session with every instrument registered in a
-// fresh registry.
+// fresh registry, in one allocation.
 func NewSession() *Session {
-	s := &Session{
-		reg:     NewRegistry(),
-		perRecv: map[int]time.Duration{},
+	b := new(sessionBlock)
+	s, r := &b.s, &b.reg
+	s.reg = r
+	r.counters, r.gauges, r.hists = b.cnames[:0], b.gnames[:0], b.hnames[:0]
+	counter := func(name string) *Counter {
+		c := &b.counters[len(r.counters)]
+		r.counters = append(r.counters, namedInstrument[*Counter]{name, c})
+		return c
+	}
+	gauge := func(name string) *Gauge {
+		g := &b.gauges[len(r.gauges)]
+		r.gauges = append(r.gauges, namedInstrument[*Gauge]{name, g})
+		return g
+	}
+	hist := func(name string) *Histogram {
+		h := &b.hists[len(r.hists)]
+		r.hists = append(r.hists, namedInstrument[*Histogram]{name, h})
+		return h
 	}
 	for t := 0; t < numTypes; t++ {
-		name := packet.Type(t).String()
-		s.sent[t] = s.reg.Counter("send." + name)
-		s.received[t] = s.reg.Counter("recv." + name)
+		s.sent[t] = counter(sendNames[t])
+		s.received[t] = counter(recvNames[t])
 	}
-	s.retransmissions = s.reg.Counter("retransmissions")
-	s.naksSent = s.reg.Counter("naks_sent")
-	s.ejections = s.reg.Counter("ejections")
-	s.overflowDrops = s.reg.Counter("buffer_overflow_drops")
-	s.sendErrors = s.reg.Counter("send_errors")
-	s.recvQEvictions = s.reg.Counter("recvq_evictions")
-	s.wireFrames = s.reg.Counter("wire_frames")
-	s.wireBytes = s.reg.Counter("wire_bytes")
-	s.wireRawBytes = s.reg.Counter("wire_raw_bytes")
-	s.corruptFrames = s.reg.Counter("corrupt_frames")
-	s.compressedFrames = s.reg.Counter("compressed_frames")
-	s.carrierFrames = s.reg.Counter("carrier_frames")
-	s.coalescedPackets = s.reg.Counter("coalesced_packets")
-	s.senderBusy = s.reg.Gauge("sender_busy_ns")
-	s.srtt = s.reg.Gauge("srtt_ns")
-	s.completion = s.reg.Histogram("completion_latency")
-	s.rtt = s.reg.Histogram("rtt")
+	s.retransmissions = counter("retransmissions")
+	s.naksSent = counter("naks_sent")
+	s.ejections = counter("ejections")
+	s.overflowDrops = counter("buffer_overflow_drops")
+	s.sendErrors = counter("send_errors")
+	s.recvQEvictions = counter("recvq_evictions")
+	s.wireFrames = counter("wire_frames")
+	s.wireBytes = counter("wire_bytes")
+	s.wireRawBytes = counter("wire_raw_bytes")
+	s.corruptFrames = counter("corrupt_frames")
+	s.compressedFrames = counter("compressed_frames")
+	s.carrierFrames = counter("carrier_frames")
+	s.coalescedPackets = counter("coalesced_packets")
+	s.senderBusy = gauge("sender_busy_ns")
+	s.srtt = gauge("srtt_ns")
+	s.completion = hist("completion_latency")
+	s.rtt = hist("rtt")
 	return s
 }
 
@@ -231,6 +278,9 @@ func (s *Session) ObserveCompletion(rank int, d time.Duration) {
 	}
 	s.completion.Observe(d)
 	s.mu.Lock()
+	if s.perRecv == nil {
+		s.perRecv = map[int]time.Duration{}
+	}
 	s.perRecv[rank] = d
 	s.mu.Unlock()
 }
