@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rmcast/internal/core"
@@ -186,6 +187,49 @@ type Cluster struct {
 	rand     *rng.Rand
 	inj      *injector
 	sh       *shardState // nil: serial execution
+	// pools are the network buffer pools, one per simulator: index 0 on
+	// the serial engine, the shard index on the sharded one.
+	pools []*ipnet.Pool
+}
+
+// netPools is the process's LIFO free list of network buffer pools. New
+// takes one per simulator and Run and RunMulti hand them back when the
+// run is over, so a run draws its datagrams, frames, payload copies and
+// reassembly buffers from what an earlier run returned instead of
+// growing every pool again. The list holds at most as many pools as
+// simulators the process ever ran at once.
+var netPools struct {
+	mu   sync.Mutex
+	list []*ipnet.Pool
+}
+
+// takePools pops n pools, making any the list lacks.
+func takePools(n int) []*ipnet.Pool {
+	ps := make([]*ipnet.Pool, n)
+	netPools.mu.Lock()
+	for i := range ps {
+		if k := len(netPools.list) - 1; k >= 0 {
+			ps[i] = netPools.list[k]
+			netPools.list[k] = nil
+			netPools.list = netPools.list[:k]
+		} else {
+			ps[i] = ipnet.NewPool()
+		}
+	}
+	netPools.mu.Unlock()
+	return ps
+}
+
+// recycle hands the cluster's pools back to the free list. Only a
+// one-shot run calls it, once it is over: its simulator never steps
+// again, so the buffers still in flight in it are left to the garbage
+// collector and nothing returns to a pool another run now uses. A
+// Session's cluster is never recycled, because its hosts are the
+// caller's.
+func (c *Cluster) recycle() {
+	netPools.mu.Lock()
+	netPools.list = append(netPools.list, c.pools...)
+	netPools.mu.Unlock()
 }
 
 // Sharded reports whether the cluster executes on multiple shards.
@@ -219,7 +263,8 @@ func (cfg Config) fabric() *topo.Spec {
 }
 
 // New builds the testbed: hosts wired to the configured topology, all
-// joined to one multicast group.
+// joined to one multicast group. Every host on one simulator shares a
+// network buffer pool taken from the process's free list.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.NumReceivers < 1 {
 		return nil, fmt.Errorf("cluster: NumReceivers must be >= 1")
@@ -253,8 +298,10 @@ func New(cfg Config) (*Cluster, error) {
 		if err := c.initShards(layout); err != nil {
 			return nil, err
 		}
+		c.pools = takePools(cfg.Shards)
 	} else {
 		c.Sim = sim.New()
+		c.pools = takePools(1)
 	}
 	if cfg.Faults != nil {
 		inj, err := c.newInjector(cfg.Faults)
@@ -280,6 +327,7 @@ func New(cfg Config) (*Cluster, error) {
 			TxQueueCap: cfg.TxQueueCap,
 			RecvBuf:    cfg.RecvBuf,
 			Seed:       cfg.Seed,
+			Pool:       c.poolForHost(i),
 		})
 		h.JoinGroup(c.group)
 		c.Hosts = append(c.Hosts, h)

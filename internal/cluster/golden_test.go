@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"rmcast/internal/core"
@@ -63,18 +64,27 @@ func goldenCases() map[string]func() (Config, core.Config, int) {
 // observable outcome into one hash.
 func digestRun(t *testing.T, ccfg Config, pcfg core.Config, size int) string {
 	t.Helper()
+	d, err := digest(ccfg, pcfg, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// digest is digestRun for callers off the test's goroutine.
+func digest(ccfg Config, pcfg core.Config, size int) (string, error) {
 	tb := trace.New(1 << 20)
 	ccfg.Trace = tb
 	res, err := run(ccfg, pcfg, size)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		return "", fmt.Errorf("run: %w", err)
 	}
 	if !res.Verified {
-		t.Fatal("delivery not verified")
+		return "", fmt.Errorf("delivery not verified")
 	}
 	h := sha256.New()
 	if total := tb.Total(); total > uint64(len(tb.Events())) {
-		t.Fatalf("trace ring overflowed (%d events); raise its capacity", total)
+		return "", fmt.Errorf("trace ring overflowed (%d events); raise its capacity", total)
 	}
 	for _, e := range tb.Events() {
 		fmt.Fprintln(h, e.String())
@@ -83,10 +93,10 @@ func digestRun(t *testing.T, ccfg Config, pcfg core.Config, size int) string {
 	// metrics snapshot serializes deterministically.
 	enc, err := json.Marshal(res)
 	if err != nil {
-		t.Fatalf("marshal result: %v", err)
+		return "", fmt.Errorf("marshal result: %w", err)
 	}
 	h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // TestGoldenSimulationDigests is the determinism guard for the
@@ -120,4 +130,37 @@ func TestGoldenDigestStableAcrossRuns(t *testing.T) {
 	if a != b {
 		t.Fatalf("identical runs hashed differently: %s vs %s", a, b)
 	}
+}
+
+// TestConcurrentRunsMatchGolden: runs on several goroutines at once
+// each take network pools of their own from the free list and hand them
+// back for whichever run comes next, so the switched golden cases —
+// four goroutines, three rounds each, every goroutine on another case
+// each round and the last round on two shards, a pool per shard — hash
+// exactly as they do alone. Under the race detector it also shows that
+// no two runs share a pool.
+func TestConcurrentRunsMatchGolden(t *testing.T) {
+	names := []string{"ack", "nak-loss", "ring", "tree"}
+	var wg sync.WaitGroup
+	for g := range names {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				name := names[(g+round)%len(names)]
+				ccfg, pcfg, size := goldenCases()[name]()
+				if round == 2 {
+					ccfg.Shards = 2
+				}
+				got, err := digest(ccfg, pcfg, size)
+				switch {
+				case err != nil:
+					t.Errorf("goroutine %d, round %d, %s: %v", g, round, name, err)
+				case got != goldenDigests[name]:
+					t.Errorf("goroutine %d, round %d, %s: digest %s, want the golden %s", g, round, name, got, goldenDigests[name])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -268,6 +268,7 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 		res.Completed = res.Completed && r.Completed
 	}
 	res.HostStats, res.SwitchStats, _ = c.fabricStats()
+	c.recycle()
 	if abort != nil && abort != errWallLimit {
 		return res, abort
 	}

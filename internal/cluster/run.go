@@ -295,6 +295,7 @@ func runProtocol(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int
 	ccfg.Metrics.AddOverflowDrops(overflow)
 	missing := t.summarise(res, end)
 	t.release()
+	c.recycle()
 	if abort != nil && abort != errWallLimit {
 		return res, abort
 	}
@@ -375,6 +376,7 @@ func runTCP(ctx context.Context, ccfg Config, ucfg unicast.Config, msgSize int) 
 	ccfg.Trace.Flush()
 	var overflow uint64
 	res.HostStats, res.SwitchStats, overflow = c.fabricStats()
+	c.recycle()
 	mx.AddOverflowDrops(overflow)
 	mx.SetSenderBusy(res.HostStats[0].CPUBusy)
 	res.Metrics = mx.Snapshot()

@@ -99,6 +99,14 @@ func (c *Cluster) simForHost(i int) *sim.Simulator {
 	return c.sh.group.Shard(c.sh.part.HostShard[i]).Sim()
 }
 
+// poolForHost returns the network buffer pool of host i's simulator.
+func (c *Cluster) poolForHost(i int) *ipnet.Pool {
+	if c.sh == nil {
+		return c.pools[0]
+	}
+	return c.pools[c.sh.part.HostShard[i]]
+}
+
 // simForSwitch returns the simulator switch i's events run on.
 func (c *Cluster) simForSwitch(i int) *sim.Simulator {
 	if c.sh == nil {
@@ -127,7 +135,7 @@ func (c *Cluster) connectPortalTrunk(sws []*ethernet.Switch, a, b int, cfg ether
 }
 
 // portal builds the near end of a cross-shard link: frames are cloned
-// out of the sending shard's pools and posted to the far switch port
+// out of the sending shard's pool, unpooled, and posted to the far switch port
 // with the link's propagation delay.
 func (c *Cluster) portal(src, dst int, prop time.Duration, far *ethernet.SwitchPort) *ethernet.Portal {
 	s := c.sh.group.Shard(src)

@@ -331,7 +331,7 @@ func (r *Receiver) beginSession(msgID uint32, size int) {
 // The receiver holds one reference from the session that assembles it
 // until the next session or Release; Retain adds one for a holder that
 // keeps the delivered message longer (a live node's Recv queue). The
-// last Release returns the buffer to the package pool. The count is
+// last Release returns the buffer to the package free list. The count is
 // atomic because a holder may release on another goroutine than the
 // receiver's.
 type Message struct {
@@ -344,41 +344,70 @@ type Message struct {
 func (m *Message) Bytes() []byte { return m.b }
 
 // Release drops one reference. The last one returns the buffer to the
-// pool, after which neither Bytes nor the slice it returned may be
+// free list, after which neither Bytes nor the slice it returned may be
 // used. Releasing more often than referenced panics.
 func (m *Message) Release() {
 	switch n := m.refs.Add(-1); {
 	case n == 0:
-		msgBufs.Put(m)
+		putMessage(m)
 	case n < 0:
 		panic("core: message released more often than retained")
 	}
 }
 
 // msgBufs holds released message buffers for the next session of any
-// receiver in the process. One pool rather than size classes: every
-// receiver of a run asks for the same size, so a buffer too small for
-// the request at hand (simply dropped) is rare, and rounding capacities
-// up to a class allocated more than it saved on `rmbench -exp fig8
-// -quick` (426,502-byte messages; numbers in CHANGES.md, PR 20).
-var msgBufs sync.Pool // of *Message
+// receiver in the process. It is a LIFO free list, not a sync.Pool, so
+// what a run draws does not depend on when the garbage collector last
+// ran; it never holds more buffers than the process had in use at once.
+// The lock is there because runs execute on several goroutines and a
+// live node's holder may release on the application's. One list rather
+// than size classes: every receiver of a run asks for the same size, so
+// a buffer too small for the request at hand (popped and dropped) is
+// rare, and rounding capacities up to a class allocated more than it
+// saved on `rmbench -exp fig8 -quick` (426,502-byte messages; numbers in
+// CHANGES.md, PR 20).
+var msgBufs struct {
+	mu   sync.Mutex
+	list []*Message
+}
+
+// getMessage pops the most recently released buffer, or nil.
+func getMessage() *Message {
+	msgBufs.mu.Lock()
+	defer msgBufs.mu.Unlock()
+	n := len(msgBufs.list) - 1
+	if n < 0 {
+		return nil
+	}
+	m := msgBufs.list[n]
+	msgBufs.list[n] = nil
+	msgBufs.list = msgBufs.list[:n]
+	return m
+}
+
+// putMessage returns m, whose last reference is gone, to the free list.
+func putMessage(m *Message) {
+	msgBufs.mu.Lock()
+	msgBufs.list = append(msgBufs.list, m)
+	msgBufs.mu.Unlock()
+}
 
 // messageBuffer returns the size-byte, all-zero buffer of a new
 // session: this receiver's previous buffer when it is large enough and
 // nobody retained it (a live node's receiver persists across messages),
-// else a released one from the pool, else a fresh allocation. A
-// retained buffer stays its holders'; the receiver only drops its own
-// reference. A recycled buffer is cleared: the test payload is a
-// function of the byte index alone, so a packet slot the session never
-// wrote would otherwise read as the previous message's bytes — and
-// verify.
+// else the last released one from the free list, else a fresh
+// allocation. A retained buffer stays its holders'; the receiver only
+// drops its own reference. A recycled buffer is cleared: the test
+// payload is a function of the byte index alone, so a packet slot the
+// session never wrote would otherwise read as the previous message's
+// bytes — and verify.
 func (r *Receiver) messageBuffer(size int) []byte {
 	if r.msg != nil && r.msg.refs.Load() != 1 {
 		r.msg.Release()
 		r.msg = nil
 	}
 	if r.msg == nil || cap(r.msg.b) < size {
-		r.msg, _ = msgBufs.Get().(*Message)
+		r.msg = getMessage()
 		if r.msg == nil || cap(r.msg.b) < size {
 			r.msg = &Message{b: make([]byte, size)}
 			r.msg.refs.Store(1)
@@ -404,7 +433,8 @@ func (r *Receiver) Retain() *Message {
 }
 
 // Release drops the receiver's reference to its message buffer — the
-// last one returns it to the pool for the next session in the process —
+// last one returns it to the free list for the next session in the
+// process —
 // and deactivates the session: the payload onDeliver saw is invalid
 // from here on unless retained, and late packets are dropped until a
 // new allocation request arrives. Releasing twice, or before any

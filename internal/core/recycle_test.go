@@ -104,40 +104,34 @@ func TestReleasedBufferReturnsZeroed(t *testing.T) {
 	}
 	newRcv().Release() // before any session
 
-	// sync.Pool may drop what it is given (it does so at random under
-	// the race detector), so ask until the released buffer comes back.
-	recycled := false
-	for try := 0; try < 50 && !recycled; try++ {
-		a := newRcv()
-		feed(a, 1, pktSize, msg)
-		if !a.Delivered() || !bytes.Equal(a.buf, msg) {
-			t.Fatal("the first receiver did not assemble the message")
-		}
-		held := &a.buf[0]
-		a.Release()
-		a.Release() // twice
-		if a.buf != nil || a.active {
-			t.Fatal("Release left the session active")
-		}
-		a.OnPacket(SenderID, dataPacket(1, 0, pktSize, msg)) // a late packet finds no session
+	a := newRcv()
+	feed(a, 1, pktSize, msg)
+	if !a.Delivered() || !bytes.Equal(a.buf, msg) {
+		t.Fatal("the first receiver did not assemble the message")
+	}
+	held := &a.buf[0]
+	a.Release()
+	a.Release() // twice
+	if a.buf != nil || a.active {
+		t.Fatal("Release left the session active")
+	}
+	a.OnPacket(SenderID, dataPacket(1, 0, pktSize, msg)) // a late packet finds no session
 
-		b := newRcv()
-		b.OnPacket(SenderID, &packet.Packet{Type: packet.TypeAllocReq, MsgID: 2, Aux: uint32(len(msg))})
-		recycled = &b.buf[0] == held
-		if len(b.buf) != len(msg) || !bytes.Equal(b.buf, make([]byte, len(msg))) {
-			t.Fatalf("the new session's buffer is not %d zeros (recycled=%v)", len(msg), recycled)
-		}
-		b.Release()
+	b := newRcv()
+	b.OnPacket(SenderID, &packet.Packet{Type: packet.TypeAllocReq, MsgID: 2, Aux: uint32(len(msg))})
+	if &b.buf[0] != held {
+		t.Fatal("a released buffer did not reach the next session: recycling is lost")
 	}
-	if !recycled {
-		t.Fatal("a released buffer never reached the next session: recycling is lost")
+	if len(b.buf) != len(msg) || !bytes.Equal(b.buf, make([]byte, len(msg))) {
+		t.Fatalf("the recycled buffer is not %d zeros", len(msg))
 	}
+	b.Release()
 
 	// A receiver that lives across messages reuses its own buffer, and
 	// the same rule holds: message 2's buffer starts as zeros.
 	r := newRcv()
 	feed(r, 1, pktSize, msg)
-	held := &r.buf[0]
+	held = &r.buf[0]
 	r.OnPacket(SenderID, &packet.Packet{Type: packet.TypeAllocReq, MsgID: 2, Aux: uint32(len(msg) / 2)})
 	if &r.buf[0] != held || !bytes.Equal(r.buf, make([]byte, len(msg)/2)) {
 		t.Fatal("the receiver's second session did not start on its own buffer, zeroed")

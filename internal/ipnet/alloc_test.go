@@ -88,7 +88,7 @@ func TestFragmentedSendSteadyStateAllocs(t *testing.T) {
 
 // TestMulticastSharesPooledBufferZeroAllocs pins the payload contract
 // of a single-fragment multicast: SendTo copies the payload once, into
-// a buffer from the sending host's free list; every receiver is handed
+// a buffer from the sending host's pool; every receiver is handed
 // that same buffer and none copies it; the last to finish returns it,
 // so steady-state multicast allocates nothing.
 func TestMulticastSharesPooledBufferZeroAllocs(t *testing.T) {
@@ -107,9 +107,9 @@ func TestMulticastSharesPooledBufferZeroAllocs(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		free := r.hosts[0].payloadFree
+		free := r.hosts[0].pool.payloads[payloadClass(len(payload))]
 		if len(free) != 1 || free[0].refs != 0 {
-			t.Fatalf("%s: sender's free list holds %d buffers, want the one it sent from", when, len(free))
+			t.Fatalf("%s: sender's pool holds %d payload buffers, want the one it sent from", when, len(free))
 		}
 		pooled := &free[0].b[0]
 		if pooled == &payload[0] {
@@ -168,10 +168,10 @@ func (dropGate) Queued() int                   { return 0 }
 func (dropGate) DrainTime(n int) time.Duration { return 0 }
 
 // TestDiscardReturnsPayloadBuffer: on every path a datagram can die,
-// each payload buffer goes back to its sender's free list exactly once.
-// Each sender starts with as many buffers as it sends datagrams, so the
-// free list is that long again only if none leaked, and release panics
-// if a buffer is returned twice.
+// each payload buffer goes back to the pool exactly once. Every host
+// shares one pool, stocked with a buffer per datagram sent, so the pool
+// holds that many again, each with no reference left, only if none
+// leaked; release panics if a buffer is returned twice.
 func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 	slow := DefaultCosts()
 	slow.RecvSyscall = 2 * time.Millisecond
@@ -215,6 +215,8 @@ func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 			port:    testPort + 2,
 			dropped: func(*rig) bool { return closedQueued }},
 	} {
+		pool := NewPool()
+		c.cfg.Pool = pool
 		r := newRig(t, 3, c.cfg)
 		if c.setup != nil {
 			c.setup(r)
@@ -223,11 +225,9 @@ func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 		if port == 0 {
 			port = testPort
 		}
-		for _, s := range c.senders {
-			for i := 0; i < c.sends; i++ {
-				h := r.hosts[s]
-				h.payloadFree = append(h.payloadFree, &payloadBuf{owner: h})
-			}
+		sent, class := len(c.senders)*c.sends, payloadClass(c.size)
+		for i := 0; i < sent; i++ {
+			pool.payloads[class] = append(pool.payloads[class], &payloadBuf{owner: pool, class: class})
 		}
 		for i := 0; i < c.sends; i++ {
 			for _, s := range c.senders {
@@ -238,15 +238,13 @@ func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 		if !c.dropped(r) {
 			t.Fatalf("%s: the scenario dropped nothing", name)
 		}
-		for _, s := range c.senders {
-			free := r.hosts[s].payloadFree
-			if len(free) != c.sends {
-				t.Fatalf("%s: host %d's free list holds %d buffers after %d sends", name, s, len(free), c.sends)
-			}
-			for _, pb := range free {
-				if pb.refs != 0 {
-					t.Fatalf("%s: host %d has a free buffer with %d references", name, s, pb.refs)
-				}
+		free := pool.payloads[class]
+		if len(free) != sent || len(pool.payloads[1-class]) != 0 {
+			t.Fatalf("%s: the pool holds %d+%d payload buffers after %d sends", name, len(free), len(pool.payloads[1-class]), sent)
+		}
+		for _, pb := range free {
+			if pb.refs != 0 {
+				t.Fatalf("%s: the pool holds a payload buffer with %d references", name, pb.refs)
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import "rmcast/internal/ethernet"
 // installed).
 //
 // This is the frame hand-off primitive for cross-shard links: the
-// sending shard releases the original back into its owner host's
-// freelist immediately, and only the self-contained clone crosses the
-// shard boundary — per-host frame pools therefore never see a frame
-// returned from another goroutine.
+// sending shard releases the original back into its shard's pool
+// immediately, and only the self-contained clone crosses the shard
+// boundary — a pool therefore never sees a frame returned from another
+// goroutine.
 func CloneFrame(f *ethernet.Frame) *ethernet.Frame {
 	frag, ok := f.Payload.(*fragment)
 	if !ok {

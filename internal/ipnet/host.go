@@ -40,6 +40,9 @@ type HostConfig struct {
 	ReasmTimeout time.Duration
 	// Seed drives the host's receive-jitter randomness.
 	Seed uint64
+	// Pool is the buffer pool of the host's simulator, shared by every
+	// host on it. Nil gives the host a pool of its own.
+	Pool *Pool
 }
 
 // HostStats counts per-host activity.
@@ -61,18 +64,22 @@ type reasmKey struct {
 	id  uint64
 }
 
-// reasmBuf tracks one in-progress fragment group. The buffers are pooled
-// per host; db accumulates the single reassembly copy.
+// reasmBuf is one fragment group: the fragments seen so far and buf,
+// the single reassembly copy they land in. A completed group becomes
+// the payload of the datagram it delivers and goes back to the pool
+// with that datagram. buf keeps its capacity across recycles, so
+// steady-state traffic of any fixed size class reassembles with zero
+// allocation.
 type reasmBuf struct {
 	key   reasmKey
 	have  []bool
 	count int
-	db    *datagramBuf
+	buf   []byte
 	timer sim.EventID
 }
 
-// txFrame is a pooled frame-plus-fragment pair owned by the sending
-// host. Allocating them together means one freelist entry covers the
+// txFrame is a pooled frame-plus-fragment pair from the sending host's
+// pool. Allocating them together means one free-list entry covers the
 // whole per-fragment state, and the fragment's back-pointers let the
 // release hook find its way home from wherever on the network the frame
 // died or was delivered.
@@ -82,42 +89,14 @@ type txFrame struct {
 }
 
 // datagramBuf is a pooled datagram: the header struct handed through the
-// send path and to socket handlers, plus a reusable byte buffer that the
-// receive path reassembles multi-fragment datagrams into. The buffer
-// keeps its capacity across recycles, so steady-state traffic of any
-// fixed size class reassembles with zero allocation. pb, when set, is
-// the sent payload dg.Payload aliases, on the send path and for a
-// single-fragment datagram at a receiver; the datagram holds one
-// reference to it.
+// send path and to socket handlers. dg.Payload aliases pb, the sent
+// payload, on the send path and for a single-fragment datagram at a
+// receiver, and the datagram holds one reference to it; or rb's buffer,
+// for a datagram reassembled from fragments, and the datagram owns rb.
 type datagramBuf struct {
-	dg  Datagram
-	buf []byte
-	pb  *payloadBuf
-}
-
-// payloadBuf is the sending host's pooled copy of one datagram's
-// payload, shared by reference instead of copied again: SendTo's
-// datagram, each in-flight fragment frame and each receiver's queued
-// single-fragment datagram hold one reference, and the last release
-// returns the buffer to its owner's free list. b keeps its capacity
-// across recycles, so a host's buffers grow to the largest datagram it
-// sends and then stop allocating.
-type payloadBuf struct {
-	owner *Host
-	b     []byte
-	refs  int
-}
-
-func (pb *payloadBuf) retain() { pb.refs++ }
-
-func (pb *payloadBuf) release() {
-	pb.refs--
-	switch {
-	case pb.refs == 0:
-		pb.owner.payloadFree = append(pb.owner.payloadFree, pb)
-	case pb.refs < 0:
-		panic("ipnet: payload buffer released more often than retained")
-	}
+	dg Datagram
+	pb *payloadBuf
+	rb *reasmBuf
 }
 
 // Host is one end host: a NIC, an IP input path with reassembly, UDP
@@ -128,9 +107,11 @@ type Host struct {
 	tx    FrameSender
 	eaddr ethernet.Addr
 
-	cpuFree  sim.Time
-	groups   map[Addr]bool
-	sockets  map[int]*Socket
+	cpuFree sim.Time
+	groups  map[Addr]bool
+	sockets map[int]*Socket
+	// reasm holds the in-progress fragment groups; it is made at the
+	// first multi-fragment datagram, which many runs never see.
 	reasm    map[reasmKey]*reasmBuf
 	nextIPID uint64
 	outQ     []*datagramBuf // datagrams awaiting transmit-queue space
@@ -142,15 +123,7 @@ type Host struct {
 	// small per-frame component (≤ 2 µs, below the minimum frame gap)
 	// adds round-to-round variation.
 	phase time.Duration
-
-	// Per-host freelists. Plain slices, not sync.Pool: each simulation
-	// is single-threaded, so these need no synchronization, survive GC
-	// (sync.Pool flushes would re-introduce steady-state allocation),
-	// and recycle deterministically.
-	frameFree   []*txFrame
-	dgFree      []*datagramBuf
-	reasmFree   []*reasmBuf
-	payloadFree []*payloadBuf
+	pool  *Pool
 
 	stats HostStats
 }
@@ -170,8 +143,11 @@ func NewHost(s *sim.Simulator, cfg HostConfig) *Host {
 		eaddr:   ethernet.Addr(cfg.Addr),
 		groups:  make(map[Addr]bool),
 		sockets: make(map[int]*Socket),
-		reasm:   make(map[reasmKey]*reasmBuf),
 		jitter:  rng.New(rng.Mix(cfg.Seed, uint64(cfg.Addr)+1)),
+		pool:    cfg.Pool,
+	}
+	if h.pool == nil {
+		h.pool = NewPool()
 	}
 	if j := cfg.Costs.RecvJitterNs; j > 0 {
 		h.phase = time.Duration(h.jitter.Float64() * j)
@@ -203,102 +179,6 @@ func (h *Host) JoinGroup(g Addr) {
 		panic(fmt.Sprintf("ipnet: JoinGroup(%d): not a multicast address", g))
 	}
 	h.groups[g] = true
-}
-
-// getTxFrame pops a pooled frame or allocates a new one.
-func (h *Host) getTxFrame() *txFrame {
-	if n := len(h.frameFree) - 1; n >= 0 {
-		tf := h.frameFree[n]
-		h.frameFree = h.frameFree[:n]
-		return tf
-	}
-	return &txFrame{}
-}
-
-// releaseTxFrame is the Frame free hook: it returns the txFrame to its
-// owning host's pool. It runs on whatever host's input path (or network
-// drop site) released the last reference — safe, because one simulation
-// is always single-threaded.
-func releaseTxFrame(f *ethernet.Frame) {
-	frag := f.Payload.(*fragment)
-	h := frag.owner
-	tf := frag.tf
-	frag.pb.release()
-	*tf = txFrame{}
-	h.frameFree = append(h.frameFree, tf)
-}
-
-// getDatagram pops a pooled datagram or allocates a new one.
-func (h *Host) getDatagram() *datagramBuf {
-	if n := len(h.dgFree) - 1; n >= 0 {
-		db := h.dgFree[n]
-		h.dgFree = h.dgFree[:n]
-		return db
-	}
-	return &datagramBuf{}
-}
-
-// putDatagram recycles db, releasing its payload buffer reference. The
-// header is cleared (it may alias payload memory the pool must not pin)
-// but buf keeps its capacity.
-func (h *Host) putDatagram(db *datagramBuf) {
-	if db.pb != nil {
-		db.pb.release()
-		db.pb = nil
-	}
-	db.dg = Datagram{}
-	h.dgFree = append(h.dgFree, db)
-}
-
-// copyPayload copies p into a payload buffer from the free list, holding
-// one reference for the caller.
-func (h *Host) copyPayload(p []byte) *payloadBuf {
-	var pb *payloadBuf
-	if n := len(h.payloadFree) - 1; n >= 0 {
-		pb = h.payloadFree[n]
-		h.payloadFree = h.payloadFree[:n]
-	} else {
-		pb = &payloadBuf{owner: h}
-	}
-	pb.b = append(pb.b[:0], p...)
-	pb.refs = 1
-	return pb
-}
-
-// getReasm prepares a pooled reassembly buffer for frag's group.
-func (h *Host) getReasm(frag *fragment) *reasmBuf {
-	var rb *reasmBuf
-	if n := len(h.reasmFree) - 1; n >= 0 {
-		rb = h.reasmFree[n]
-		h.reasmFree = h.reasmFree[:n]
-	} else {
-		rb = &reasmBuf{}
-	}
-	rb.key = reasmKey{src: frag.src, id: frag.id}
-	if cap(rb.have) >= frag.count {
-		rb.have = rb.have[:frag.count]
-		for i := range rb.have {
-			rb.have[i] = false
-		}
-	} else {
-		rb.have = make([]bool, frag.count)
-	}
-	rb.count = 0
-	rb.db = h.getDatagram()
-	if cap(rb.db.buf) >= frag.total {
-		rb.db.buf = rb.db.buf[:frag.total]
-	} else {
-		rb.db.buf = make([]byte, frag.total)
-	}
-	return rb
-}
-
-// putReasm recycles rb; its datagram (if any) must already be handed off
-// or returned.
-func (h *Host) putReasm(rb *reasmBuf) {
-	rb.db = nil
-	rb.timer = 0
-	h.reasmFree = append(h.reasmFree, rb)
 }
 
 // Exec charges cost to the host CPU and runs fn when it completes. The
@@ -416,11 +296,11 @@ func hostIPInput(a, b any) {
 // ipInput consumes one fragment. A single-fragment datagram is delivered
 // with its payload aliasing the sender's payload buffer, of which it
 // takes a reference — no receiver copies it. Multi-fragment groups are
-// copied once, into the host's pooled reassembly buffer at each
+// copied once, into a pooled reassembly buffer at each
 // fragment's datagram offset.
 func (h *Host) ipInput(frag *fragment) {
 	if frag.count == 1 {
-		db := h.getDatagram()
+		db := h.pool.getDatagram()
 		db.dg = Datagram{
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
@@ -435,7 +315,10 @@ func (h *Host) ipInput(frag *fragment) {
 	key := reasmKey{src: frag.src, id: frag.id}
 	rb, ok := h.reasm[key]
 	if !ok {
-		rb = h.getReasm(frag)
+		if h.reasm == nil {
+			h.reasm = make(map[reasmKey]*reasmBuf)
+		}
+		rb = h.pool.getReasm(frag)
 		h.reasm[key] = rb
 		rb.timer = h.sim.AfterFunc(h.cfg.ReasmTimeout, reasmExpire, h, rb)
 	}
@@ -451,17 +334,16 @@ func (h *Host) ipInput(frag *fragment) {
 		// than their raw IP offset suggests.
 		off = frag.index*FragPayload - UDPHeader
 	}
-	copy(rb.db.buf[off:], frag.payload)
+	copy(rb.buf[off:], frag.payload)
 	if rb.count == frag.count {
 		delete(h.reasm, key)
 		h.sim.Cancel(rb.timer)
-		db := rb.db
-		rb.db = nil
-		h.putReasm(rb)
+		db := h.pool.getDatagram()
+		db.rb = rb
 		db.dg = Datagram{
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
-			Payload: db.buf[:frag.total],
+			Payload: rb.buf,
 		}
 		h.deliver(db)
 	}
@@ -478,8 +360,7 @@ func reasmExpire(a, b any) {
 	}
 	delete(h.reasm, rb.key)
 	h.stats.ReasmDrops++
-	h.putDatagram(rb.db)
-	h.putReasm(rb)
+	h.pool.putReasm(rb)
 }
 
 // deliver hands a complete datagram to its socket, which now owns db.
@@ -487,7 +368,7 @@ func (h *Host) deliver(db *datagramBuf) {
 	sock, ok := h.sockets[db.dg.DstPort]
 	if !ok {
 		h.stats.NoPortDrops++
-		h.putDatagram(db)
+		h.pool.putDatagram(db)
 		return
 	}
 	sock.enqueue(db)
@@ -569,10 +450,10 @@ func (h *Host) transmit(db *datagramBuf) {
 			lo = i*FragPayload - UDPHeader
 		}
 		hi := i*FragPayload + chunk - UDPHeader
-		tf := h.getTxFrame()
+		tf := h.pool.getTxFrame()
 		db.pb.retain()
 		tf.frag = fragment{
-			tf: tf, owner: h, pb: db.pb,
+			tf: tf, owner: h.pool, pb: db.pb,
 			src: h.cfg.Addr, dst: dg.Dst,
 			srcPort: dg.SrcPort, dstPort: dg.DstPort,
 			id: id, index: i, count: count, total: total,
@@ -589,5 +470,5 @@ func (h *Host) transmit(db *datagramBuf) {
 	}
 	h.stats.SentDatagrams++
 	h.stats.SentBytes += uint64(total)
-	h.putDatagram(db)
+	h.pool.putDatagram(db)
 }

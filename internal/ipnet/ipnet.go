@@ -89,11 +89,11 @@ type Datagram struct {
 // complete datagram metadata, because with loss and reordering any
 // fragment can be the first (or only) one a receiver sees. Fragments
 // live inside pooled txFrames; tf and owner route the frame back to the
-// sending host's freelist when the last reference is released, and the
+// sending host's pool when the last reference is released, and the
 // frame's reference to pb goes with it.
 type fragment struct {
 	tf      *txFrame
-	owner   *Host
+	owner   *Pool
 	pb      *payloadBuf
 	src     Addr // sending host (also the reassembly key)
 	dst     Addr

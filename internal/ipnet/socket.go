@@ -47,7 +47,7 @@ func (h *Host) BindBuf(port, bufBytes int, handler func(dg *Datagram)) *Socket {
 func (s *Socket) Close() {
 	delete(s.host.sockets, s.port)
 	for _, db := range s.queue {
-		s.host.putDatagram(db)
+		s.host.pool.putDatagram(db)
 	}
 	s.queue = nil
 	s.queued = 0
@@ -59,7 +59,7 @@ func (s *Socket) Port() int { return s.port }
 // SendTo transmits payload to dst:dstPort. The send syscall cost is
 // charged to the host CPU; the datagram enters the wire when it
 // completes. SendTo copies payload, as a kernel does, into a buffer from
-// the host's free list that backs the in-flight fragments and, for a
+// the host's pool that backs the in-flight fragments and, for a
 // single-fragment datagram, every receiver's delivered payload; the
 // caller may reuse payload as soon as SendTo returns.
 func (s *Socket) SendTo(dst Addr, dstPort int, payload []byte) {
@@ -67,8 +67,8 @@ func (s *Socket) SendTo(dst Addr, dstPort int, payload []byte) {
 		panic(fmt.Sprintf("ipnet: datagram of %d bytes exceeds max %d", len(payload), MaxDatagram))
 	}
 	h := s.host
-	db := h.getDatagram()
-	db.pb = h.copyPayload(payload)
+	db := h.pool.getDatagram()
+	db.pb = h.pool.copyPayload(payload)
 	db.dg = Datagram{
 		Src:     h.cfg.Addr,
 		Dst:     dst,
@@ -85,7 +85,7 @@ func (s *Socket) SendTo(dst Addr, dstPort int, payload []byte) {
 func (s *Socket) enqueue(db *datagramBuf) {
 	if s.bufCap > 0 && s.queued+len(db.dg.Payload) > s.bufCap {
 		s.host.stats.SocketDrops++
-		s.host.putDatagram(db)
+		s.host.pool.putDatagram(db)
 		return
 	}
 	s.queue = append(s.queue, db)
@@ -131,6 +131,6 @@ func socketReadDone(a, b any) {
 	h.stats.RecvDatagrams++
 	h.stats.RecvBytes += uint64(len(db.dg.Payload))
 	s.handler(&db.dg)
-	h.putDatagram(db)
+	h.pool.putDatagram(db)
 	s.drainNext()
 }
