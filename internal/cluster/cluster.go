@@ -220,13 +220,22 @@ func takePools(n int) []*ipnet.Pool {
 	return ps
 }
 
-// recycle hands the cluster's pools back to the free list. Only a
-// one-shot run calls it, once it is over: its simulator never steps
-// again, so the buffers still in flight in it are left to the garbage
-// collector and nothing returns to a pool another run now uses. A
-// Session's cluster is never recycled, because its hosts are the
-// caller's.
+// recycle hands the cluster's network buffers and its serial
+// simulator back for later runs. Only a one-shot run calls it, once it
+// is over: every host returns the datagrams and fragment groups it
+// still holds to its pool (in address order, so the free lists come
+// out the same every time), then the pools go on netPools and the
+// simulator, emptied, on sim's spare list. Buffers that pending events
+// still hold die with those events. The sharded engine's simulators are
+// not recycled. A Session's cluster is never recycled, because its
+// hosts are the caller's.
 func (c *Cluster) recycle() {
+	for _, h := range c.Hosts {
+		h.Reclaim()
+	}
+	if c.sh == nil {
+		c.Sim.Release()
+	}
 	netPools.mu.Lock()
 	netPools.list = append(netPools.list, c.pools...)
 	netPools.mu.Unlock()

@@ -145,10 +145,10 @@ func TestSessionKeepsDeliveredAcrossRuns(t *testing.T) {
 // TestWarmRunDrawsEveryNetworkBufferFromThePool: Run hands its network
 // pool back when it is over, and an identical Run after it takes that
 // pool and finds every datagram, frame, payload copy and reassembly
-// buffer it needs there. The cases are the lossless golden ones: a
-// lossy run ends with fragment groups still waiting for their
-// reassembly timeout, and those die with its simulator. Not parallel:
-// no other run may take the pool in between.
+// buffer it needs there. nak-loss ends with fragment groups still
+// waiting for their reassembly timeout and datagrams still queued in
+// sockets; Run reclaims those too. Not parallel: no other run may take
+// the pool in between.
 func TestWarmRunDrawsEveryNetworkBufferFromThePool(t *testing.T) {
 	top := func() *ipnet.Pool {
 		netPools.mu.Lock()
@@ -158,7 +158,7 @@ func TestWarmRunDrawsEveryNetworkBufferFromThePool(t *testing.T) {
 		}
 		return netPools.list[len(netPools.list)-1]
 	}
-	for _, name := range []string{"ack", "ring", "tree", "nak-bus"} {
+	for _, name := range []string{"ack", "nak-loss", "ring", "tree", "nak-bus"} {
 		once := func() {
 			ccfg, pcfg, size := goldenCases()[name]()
 			if res, err := run(ccfg, pcfg, size); err != nil || !res.Verified {

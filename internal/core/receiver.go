@@ -358,7 +358,10 @@ func (m *Message) Release() {
 // msgBufs holds released message buffers for the next session of any
 // receiver in the process. It is a LIFO free list, not a sync.Pool, so
 // what a run draws does not depend on when the garbage collector last
-// ran; it never holds more buffers than the process had in use at once.
+// ran; it never holds more buffers than the process had in use at once,
+// nor more than msgBufsCap bytes of them: a buffer that would take it
+// past the cap is left to the garbage collector, so one very large run
+// does not pin its peak for the life of the process.
 // The lock is there because runs execute on several goroutines and a
 // live node's holder may release on the application's. One list rather
 // than size classes: every receiver of a run asks for the same size, so
@@ -367,9 +370,15 @@ func (m *Message) Release() {
 // saved on `rmbench -exp fig8 -quick` (426,502-byte messages; numbers in
 // CHANGES.md, PR 20).
 var msgBufs struct {
-	mu   sync.Mutex
-	list []*Message
+	mu    sync.Mutex
+	list  []*Message
+	bytes int // the buffers' capacity, summed
 }
+
+// msgBufsCap bounds msgBufs' bytes. It sits above the working sets the
+// benchmark's workloads recycle (30 × 2 MiB for sim_bulk, 1 024 × 64 KiB
+// for sim_scale), so that those never fall back to allocating.
+const msgBufsCap = 128 << 20
 
 // getMessage pops the most recently released buffer, or nil.
 func getMessage() *Message {
@@ -382,14 +391,20 @@ func getMessage() *Message {
 	m := msgBufs.list[n]
 	msgBufs.list[n] = nil
 	msgBufs.list = msgBufs.list[:n]
+	msgBufs.bytes -= cap(m.b)
 	return m
 }
 
-// putMessage returns m, whose last reference is gone, to the free list.
+// putMessage returns m, whose last reference is gone, to the free list,
+// or drops it when the list holds msgBufsCap bytes without it.
 func putMessage(m *Message) {
 	msgBufs.mu.Lock()
+	defer msgBufs.mu.Unlock()
+	if msgBufs.bytes+cap(m.b) > msgBufsCap {
+		return
+	}
 	msgBufs.list = append(msgBufs.list, m)
-	msgBufs.mu.Unlock()
+	msgBufs.bytes += cap(m.b)
 }
 
 // messageBuffer returns the size-byte, all-zero buffer of a new

@@ -261,3 +261,53 @@ func TestRetainedMessageSurvivesReceiverRelease(t *testing.T) {
 	}
 	kept[0].Release()
 }
+
+// TestMessageFreeListIsCapped: releasing far more message buffers than
+// msgBufsCap holds — 4 096 of 64 KiB, what internal/check's 4 096-receiver
+// run releases — leaves at most msgBufsCap bytes on the free list, and
+// the list still serves the buffers it kept. The buffers share one
+// backing array, so the test itself allocates 64 KiB, not 256 MiB.
+func TestMessageFreeListIsCapped(t *testing.T) {
+	msgBufs.mu.Lock()
+	saved, savedBytes := msgBufs.list, msgBufs.bytes
+	msgBufs.list, msgBufs.bytes = nil, 0
+	msgBufs.mu.Unlock()
+	t.Cleanup(func() {
+		msgBufs.mu.Lock()
+		msgBufs.list, msgBufs.bytes = saved, savedBytes
+		msgBufs.mu.Unlock()
+	})
+
+	const n, size = 4096, 64 << 10
+	backing := make([]byte, size)
+	for i := 0; i < n; i++ {
+		m := &Message{b: backing}
+		m.refs.Store(1)
+		m.Release()
+	}
+	msgBufs.mu.Lock()
+	held, total := len(msgBufs.list), 0
+	for _, m := range msgBufs.list {
+		total += cap(m.b)
+	}
+	counted := msgBufs.bytes
+	msgBufs.mu.Unlock()
+	if total > msgBufsCap || counted != total {
+		t.Fatalf("free list holds %d buffers, %d MiB (counted %d MiB); want at most %d MiB",
+			held, total>>20, counted>>20, msgBufsCap>>20)
+	}
+	if held != msgBufsCap/size {
+		t.Fatalf("free list kept %d of %d buffers; want %d, as many as fit the cap", held, n, msgBufsCap/size)
+	}
+	for i := 0; i < held; i++ {
+		if getMessage() == nil {
+			t.Fatalf("free list ran dry after %d of its %d buffers", i, held)
+		}
+	}
+	msgBufs.mu.Lock()
+	left := msgBufs.bytes
+	msgBufs.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("an empty free list counts %d bytes", left)
+	}
+}

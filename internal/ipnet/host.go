@@ -1,7 +1,9 @@
 package ipnet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"rmcast/internal/ethernet"
@@ -361,6 +363,49 @@ func reasmExpire(a, b any) {
 	delete(h.reasm, rb.key)
 	h.stats.ReasmDrops++
 	h.pool.putReasm(rb)
+}
+
+// Reclaim hands back to the pool the buffers the host still holds when
+// its simulator will never step again: the datagrams in its transmit
+// backlog and in its sockets' queues, and its open fragment groups.
+// Buffers that live events still hold (a frame on the wire, a send
+// being charged) die with the simulator. The walk is fixed — backlog,
+// then sockets by port, then groups by source and IP ID — so what the
+// pool's free lists hold, and so what a later run draws, never depends
+// on map order.
+func (h *Host) Reclaim() {
+	for _, db := range h.outQ {
+		h.pool.putDatagram(db)
+	}
+	h.outQ = nil
+	var ports []int
+	for port, s := range h.sockets {
+		if len(s.queue) > 0 {
+			ports = append(ports, port)
+		}
+	}
+	slices.Sort(ports)
+	for _, port := range ports {
+		s := h.sockets[port]
+		for _, db := range s.queue {
+			h.pool.putDatagram(db)
+		}
+		s.queue, s.queued = nil, 0
+	}
+	if len(h.reasm) == 0 {
+		return
+	}
+	groups := make([]*reasmBuf, 0, len(h.reasm))
+	for _, rb := range h.reasm {
+		groups = append(groups, rb)
+	}
+	slices.SortFunc(groups, func(a, b *reasmBuf) int {
+		return cmp.Or(cmp.Compare(a.key.src, b.key.src), cmp.Compare(a.key.id, b.key.id))
+	})
+	for _, rb := range groups {
+		h.pool.putReasm(rb)
+	}
+	clear(h.reasm)
 }
 
 // deliver hands a complete datagram to its socket, which now owns db.

@@ -59,14 +59,34 @@ type LoopNet struct {
 	mu    sync.Mutex
 	inbox []loopWork
 	// spare is the drained batch's storage, swapped back in as the next
-	// inbox so steady-state posting appends into existing capacity;
-	// free recycles delivery records and frameFree frame copies. All
-	// three are the driver's alone.
-	spare     []loopWork
-	free      []*loopDatagram
-	frameFree []*loopFrame
+	// inbox so steady-state posting appends into existing capacity.
+	// It and the stock are the driver's alone.
+	spare []loopWork
+	loopStock
 
 	ports []*loopPort // attach order; fan-out order for multicasts
+}
+
+// loopStock is a loopback net's delivery records and frame copies: the
+// free lists send and copyFrame draw from, and every record and copy
+// the stock ever made, so that a net's release can take back the ones
+// still in flight. A one-shot run hands its stock to the next through
+// loopStocks; frame copies keep their bytes' capacity.
+type loopStock struct {
+	free      []*loopDatagram
+	frameFree []*loopFrame
+	dgs       []*loopDatagram
+	frames    []*loopFrame
+}
+
+// loopStocks is the process's LIFO free list of loopback stocks:
+// NewLoopNet pops one and release pushes it back, so a run draws its
+// delivery records and frame copies from what an earlier run returned.
+// It holds at most as many stocks as loopback runs the process ever had
+// going at once.
+var loopStocks struct {
+	mu   sync.Mutex
+	list []loopStock
 }
 
 // loopWork is one unit of posted event-loop work: a closure, or — the
@@ -99,7 +119,7 @@ func NewLoopNet(cfg LoopConfig) *LoopNet {
 	if cfg.Delay == 0 {
 		cfg.Delay = 100 * time.Microsecond
 	}
-	return &LoopNet{
+	ln := &LoopNet{
 		cfg:  cfg,
 		sim:  sim.New(),
 		rand: rng.New(rng.Mix(cfg.Seed, 0x4C4F4F50)), // "LOOP"
@@ -107,6 +127,44 @@ func NewLoopNet(cfg LoopConfig) *LoopNet {
 		// keeps the node's multicast/unicast addressing logic intact.
 		group: netip.AddrPortFrom(netip.AddrFrom4([4]byte{239, 255, 77, 1}), 7777),
 	}
+	loopStocks.mu.Lock()
+	if k := len(loopStocks.list) - 1; k >= 0 {
+		ln.loopStock = loopStocks.list[k]
+		loopStocks.list[k] = loopStock{}
+		loopStocks.list = loopStocks.list[:k]
+	}
+	loopStocks.mu.Unlock()
+	return ln
+}
+
+// release hands the net's simulator and stock back for later runs, once
+// every node on it is closed and nothing will drive it again. Every
+// record and frame copy returns to the free lists, in flight or not:
+// the simulator, emptied, drops the events that held them. Only a
+// one-shot run (RunLoopScenario) releases its net; one a caller built
+// stays the caller's. Releasing with a node still open panics.
+func (ln *LoopNet) release() {
+	for _, p := range ln.ports {
+		if !p.closed {
+			panic(fmt.Sprintf("live: loopback net released with rank %d open", p.n.cfg.Rank))
+		}
+	}
+	ln.sim.Release()
+	st := ln.loopStock
+	st.free = st.free[:0]
+	for _, dg := range st.dgs {
+		*dg = loopDatagram{}
+		st.free = append(st.free, dg)
+	}
+	st.frameFree = st.frameFree[:0]
+	for _, f := range st.frames {
+		f.refs = 0
+		st.frameFree = append(st.frameFree, f)
+	}
+	ln.sim, ln.loopStock, ln.ports = nil, loopStock{}, nil
+	loopStocks.mu.Lock()
+	loopStocks.list = append(loopStocks.list, st)
+	loopStocks.mu.Unlock()
 }
 
 // Node attaches one live node to the network. The Group, Interface,
@@ -124,10 +182,10 @@ func (ln *LoopNet) Node(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	port := &loopPort{
-		ln:          ln,
-		n:           n,
-		addr:        netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 9, 1}), 20000+uint16(cfg.Rank)),
-		lastArrival: make(map[*loopPort]time.Duration),
+		ln:   ln,
+		n:    n,
+		idx:  len(ln.ports),
+		addr: netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 9, 1}), 20000+uint16(cfg.Rank)),
 	}
 	n.tr = port
 	ln.ports = append(ln.ports, port)
@@ -203,15 +261,19 @@ func (ln *LoopNet) send(from, to *loopPort, f *loopFrame) {
 		d += time.Duration(ln.rand.Intn(int(ln.cfg.Jitter)))
 	}
 	at := ln.sim.Now() + d
-	if prev, ok := from.lastArrival[to]; ok && at < prev {
+	if to.idx >= len(from.lastArrival) {
+		from.lastArrival = append(from.lastArrival, make([]time.Duration, len(ln.ports)-len(from.lastArrival))...)
+	}
+	if prev := from.lastArrival[to.idx]; at < prev {
 		at = prev
 	}
-	from.lastArrival[to] = at
+	from.lastArrival[to.idx] = at
 	var dg *loopDatagram
 	if k := len(ln.free); k > 0 {
 		dg, ln.free = ln.free[k-1], ln.free[:k-1]
 	} else {
 		dg = new(loopDatagram)
+		ln.dgs = append(ln.dgs, dg)
 	}
 	f.refs++
 	*dg = loopDatagram{to: to, frame: f, src: from.addr}
@@ -221,7 +283,7 @@ func (ln *LoopNet) send(from, to *loopPort, f *loopFrame) {
 // recycle returns a handled delivery record to the free list (driver
 // only), dropping its references.
 func (ln *LoopNet) recycle(dg *loopDatagram) {
-	ln.release(dg.frame)
+	ln.releaseFrame(dg.frame)
 	*dg = loopDatagram{}
 	ln.free = append(ln.free, dg)
 }
@@ -234,15 +296,16 @@ func (ln *LoopNet) copyFrame(b []byte) *loopFrame {
 		f, ln.frameFree = ln.frameFree[k-1], ln.frameFree[:k-1]
 	} else {
 		f = new(loopFrame)
+		ln.frames = append(ln.frames, f)
 	}
 	f.b = append(f.b[:0], b...)
 	f.refs = 1
 	return f
 }
 
-// release drops one reference to f, returning it to the free list with
+// releaseFrame drops one reference to f, returning it to the free list with
 // the last (driver only).
-func (ln *LoopNet) release(f *loopFrame) {
+func (ln *LoopNet) releaseFrame(f *loopFrame) {
 	if f.refs--; f.refs == 0 {
 		ln.frameFree = append(ln.frameFree, f)
 	}
@@ -272,10 +335,12 @@ type loopPort struct {
 	ln     *LoopNet
 	n      *Node
 	addr   netip.AddrPort
+	idx    int // attach order
 	closed bool
-	// lastArrival tracks the latest scheduled delivery per destination,
-	// enforcing the per-path FIFO contract under jitter.
-	lastArrival map[*loopPort]time.Duration
+	// lastArrival is the latest scheduled delivery per destination,
+	// indexed by its attach order (zero: none yet), enforcing the
+	// per-path FIFO contract under jitter.
+	lastArrival []time.Duration
 }
 
 func (p *loopPort) LocalAddr() *net.UDPAddr { return net.UDPAddrFromAddrPort(p.addr) }
@@ -288,7 +353,7 @@ func (p *loopPort) WriteTo(b []byte, addr netip.AddrPort) {
 	}
 	ln := p.ln
 	f := ln.copyFrame(b)
-	defer ln.release(f)
+	defer ln.releaseFrame(f)
 	if addr == ln.group {
 		// Multicast: fan out to every other attached port. No loopback
 		// to self — the node would discard it anyway, as a UDP reader

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"net/netip"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -517,4 +518,124 @@ func TestCloseReleasesReceiver(t *testing.T) {
 		}
 		check(t, receivers[0], nil) // Close has stopped the loop: the test owns the node now
 	})
+}
+
+// topLoopStock reports the stock RunLoopScenario handed back last: how
+// many delivery records and frame copies it has made, and its first
+// record, which names it.
+func topLoopStock(t *testing.T) (dgs, frames int, first *loopDatagram) {
+	t.Helper()
+	loopStocks.mu.Lock()
+	defer loopStocks.mu.Unlock()
+	k := len(loopStocks.list) - 1
+	if k < 0 || len(loopStocks.list[k].dgs) == 0 {
+		t.Fatal("RunLoopScenario did not hand its delivery records back")
+	}
+	st := loopStocks.list[k]
+	return len(st.dgs), len(st.frames), st.dgs[0]
+}
+
+// TestLoopbackWarmRunMakesNoDeliveryState: RunLoopScenario hands its
+// net's delivery records and frame copies back, those still in flight
+// at the end included, and an identical run after it takes that stock,
+// makes no record or copy of its own, and produces the same digest. Not
+// parallel: no other run may take the stock in between.
+func TestLoopbackWarmRunMakesNoDeliveryState(t *testing.T) {
+	sc := LoopScenario{
+		Net: LoopConfig{Seed: 7, Delay: 100 * time.Microsecond,
+			Jitter: 50 * time.Microsecond, LossRate: 0.03},
+		Protocol: core.Config{Protocol: core.ProtoNAK, NumReceivers: 5,
+			PacketSize: 1400, WindowSize: 16, PollInterval: 13},
+		MsgSize: 120000,
+	}
+	run := func() string {
+		res, err := RunLoopScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.SendDone || len(res.Delivered) != sc.Protocol.NumReceivers {
+			t.Fatalf("transfer incomplete: done=%v delivered=%v", res.SendDone, res.Delivered)
+		}
+		return digestLoopResult(res)
+	}
+	cold := run()
+	dgs, frames, first := topLoopStock(t)
+	warm := run()
+	dgs2, frames2, first2 := topLoopStock(t)
+	if first2 != first {
+		t.Fatal("the second run did not take and return the first one's stock")
+	}
+	if dgs2 != dgs || frames2 != frames {
+		t.Errorf("the warm run made %d delivery records and %d frame copies the stock should have held",
+			dgs2-dgs, frames2-frames)
+	}
+	if warm != cold {
+		t.Fatalf("the warm run diverged from the cold one:\n  cold %s\n  warm %s", cold, warm)
+	}
+}
+
+// TestLoopbackConcurrentRunsMatchSerial: loopback runs on several
+// goroutines at once pass simulators and stocks between them through
+// the process-wide free lists; each run must still produce exactly the
+// digest it produces alone. Run it under -race.
+func TestLoopbackConcurrentRunsMatchSerial(t *testing.T) {
+	lossy := LoopConfig{Seed: 2, Delay: 100 * time.Microsecond,
+		Jitter: 50 * time.Microsecond, LossRate: 0.03}
+	scenarios := []LoopScenario{
+		{Net: LoopConfig{Seed: 1, Delay: 100 * time.Microsecond, Jitter: 20 * time.Microsecond},
+			Protocol: core.Config{Protocol: core.ProtoACK, NumReceivers: 4, PacketSize: 1400, WindowSize: 8},
+			MsgSize:  60000},
+		{Net: lossy,
+			Protocol: core.Config{Protocol: core.ProtoNAK, NumReceivers: 5, PacketSize: 1400, WindowSize: 16, PollInterval: 13},
+			MsgSize:  80000},
+		{Net: lossy,
+			Protocol: core.Config{Protocol: core.ProtoRing, NumReceivers: 5, PacketSize: 1400, WindowSize: 8},
+			MsgSize:  50000},
+		{Net: lossy,
+			Protocol: core.Config{Protocol: core.ProtoTree, NumReceivers: 6, PacketSize: 1400, WindowSize: 8, TreeHeight: 3},
+			MsgSize:  50000},
+	}
+	digest := func(sc LoopScenario) (string, error) {
+		res, err := RunLoopScenario(sc)
+		if err != nil {
+			return "", err
+		}
+		if !res.SendDone || res.SendErr != nil {
+			return "", fmt.Errorf("%v: done=%v err=%v", sc.Protocol.Protocol, res.SendDone, res.SendErr)
+		}
+		return digestLoopResult(res), nil
+	}
+	want := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		d, err := digest(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+	const workers, rounds = 4, 3
+	errs := make(chan error, workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w + r) % len(scenarios)
+				got, err := digest(scenarios[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("worker %d round %d: %v digest %s, serial %s",
+						w, r, scenarios[i].Protocol.Protocol, got, want[i])
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -206,6 +206,7 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 		n.Close()
 	}
 	buf.Flush()
+	ln.release()
 
 	if sender.snd != nil {
 		res.SenderStats = sender.snd.Stats()

@@ -157,6 +157,14 @@ func (m *queueModel) finish() {
 // result against the reference.
 func runQueueOps(t testing.TB, data []byte) {
 	m := newQueueModel(t)
+	m.run(data)
+	m.finish()
+}
+
+// run decodes data into queue operations on m, checking every result
+// against the reference and the queue's invariants after each one.
+func (m *queueModel) run(data []byte) {
+	t := m.t
 	operand := func(i *int) int {
 		if *i >= len(data) {
 			return 0
@@ -201,7 +209,6 @@ func runQueueOps(t testing.TB, data []byte) {
 		}
 		checkQueue(t, m.s)
 	}
-	m.finish()
 }
 
 // queueOps encodes operations for the seed corpus: each element is an
@@ -369,4 +376,77 @@ func TestQueueStandingPopulationZeroAllocs(t *testing.T) {
 	if s.Pending() != 1024 {
 		t.Fatalf("Pending() = %d, want 1024", s.Pending())
 	}
+}
+
+// TestReleasedSimulatorFiresLikeNew: a simulator released in the middle
+// of an unrelated run — events pending, some cancelled, buckets and b0
+// populated — and taken again by New fires a seeded operation sequence
+// exactly as a new simulator does, event for event, and no EventID the
+// unrelated run was issued cancels anything of the new run's.
+func TestReleasedSimulatorFiresLikeNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	ops := func() []byte {
+		data := make([]byte, 50+rng.Intn(400))
+		rng.Read(data)
+		return data
+	}
+	for i := 0; i < 100; i++ {
+		before, data := ops(), ops()
+		fresh := &queueModel{t: t, s: &Simulator{}, byNum: map[int]int{}}
+		fresh.run(data)
+		fresh.finish()
+
+		old := newQueueModel(t)
+		old.run(before)
+		for k := 0; k < 8; k++ {
+			old.at(old.s.Now() + Time(k)) // something is pending at the release
+		}
+		stale := old.ids
+		s := old.s
+		s.Release()
+		reused := newQueueModel(t)
+		if reused.s != s {
+			t.Fatal("New did not hand back the simulator just released")
+		}
+		if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
+			t.Fatalf("released simulator starts at %v with %d pending, %d fired", s.Now(), s.Pending(), s.Fired())
+		}
+		checkQueue(t, s)
+		reused.run(data)
+		for num, id := range stale {
+			if s.Cancel(id) {
+				t.Fatalf("sequence %d: event %d of the released run cancelled an event of the next", i, num)
+			}
+		}
+		reused.finish()
+		if len(reused.fired) != len(fresh.fired) {
+			t.Fatalf("sequence %d: reused simulator fired %d events, a new one %d", i, len(reused.fired), len(fresh.fired))
+		}
+		for k := range fresh.fired {
+			if reused.fired[k] != fresh.fired[k] {
+				t.Fatalf("sequence %d: event %d fired %d on the reused simulator, %d on a new one",
+					i, k, reused.fired[k], fresh.fired[k])
+			}
+		}
+		if fresh.s.Now() != s.Now() || fresh.s.Fired() != s.Fired() {
+			t.Fatalf("sequence %d: reused simulator ends at %v after %d events, a new one at %v after %d",
+				i, s.Now(), s.Fired(), fresh.s.Now(), fresh.s.Fired())
+		}
+	}
+}
+
+// TestReleaseTwicePanics: a released simulator has one owner, the spare
+// list; a second Release would hand it to two runs.
+func TestReleaseTwicePanics(t *testing.T) {
+	s := New()
+	s.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+		if New() != s {
+			t.Fatal("the released simulator left the spare list")
+		}
+	}()
+	s.Release()
 }

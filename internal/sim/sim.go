@@ -35,12 +35,17 @@
 // when its bucket is redistributed); when more than half of the queue is
 // dead weight it is compacted in one pass, which bounds both queue and
 // slab growth under heavy cancel/reschedule churn (retransmit timers).
+//
+// A simulator whose run is over can be handed back with Release: it
+// keeps its slab, free list and b0 at their grown capacity, and New
+// hands it to the next run, which then schedules without growing them.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -123,10 +128,64 @@ type Simulator struct {
 	live    int // pending (not cancelled) events
 	dead    int // cancelled entries still queued
 	fired   uint64
+	// released is set while the simulator sits on the spare list.
+	released bool
 }
 
-// New returns an empty simulator with the clock at zero.
-func New() *Simulator { return &Simulator{} }
+// spare is the process's LIFO of released simulators. New pops from it
+// and Release pushes on it, so a run takes the slab an earlier run grew
+// instead of growing one again. It holds at most as many simulators as
+// were released without being taken again.
+var spare struct {
+	mu   sync.Mutex
+	list []*Simulator
+}
+
+// New returns an empty simulator with the clock at zero: the one most
+// recently released, if any, else a new one.
+func New() *Simulator {
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	k := len(spare.list) - 1
+	if k < 0 {
+		return &Simulator{}
+	}
+	s := spare.list[k]
+	spare.list[k] = nil
+	spare.list = spare.list[:k]
+	s.released = false
+	return s
+}
+
+// Release empties s and hands it back for New to reuse. Every pending
+// and cancelled event is dropped unfired, with its callback and
+// arguments, and the clock, the scheduling sequence and the counters
+// start again from zero, so the simulator fires exactly the events a new
+// one would, in the same order; the slab, its free list and b0 keep
+// their capacity. Every slot's generation moves past each EventID issued
+// so far, so no such ID cancels anything scheduled after the release.
+// The caller must not use s, or anything that schedules on it, again;
+// releasing it twice panics.
+func (s *Simulator) Release() {
+	if s.released {
+		panic("sim: simulator released twice")
+	}
+	// A new simulator issues slots 0, 1, 2, … in turn; so does one
+	// whose free list pops them in that order.
+	free := s.free[:0]
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		if sl := &s.slots[i]; sl.state != slotFree {
+			sl.state = slotFree
+			sl.gen++
+			sl.fn0, sl.fn, sl.a, sl.b = nil, nil, nil, nil
+		}
+		free = append(free, uint32(i))
+	}
+	*s = Simulator{slots: s.slots, free: free, b0: s.b0[:0], released: true}
+	spare.mu.Lock()
+	spare.list = append(spare.list, s)
+	spare.mu.Unlock()
+}
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -140,8 +199,9 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // SlabSize returns the number of event slots ever allocated — the
 // high-water mark of simultaneously tracked (pending + lazily dead)
-// events. Exposed so tests can assert that cancel/reschedule churn does
-// not grow the slab without bound.
+// events, over every run a released simulator served. Exposed so
+// tests can assert that cancel/reschedule churn does not grow the slab
+// without bound.
 func (s *Simulator) SlabSize() int { return len(s.slots) }
 
 // schedule is the common entry point behind At/AtFunc. Exactly one of
