@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"rmcast/internal/core"
 	"rmcast/internal/ipnet"
 	"rmcast/internal/packet"
+	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 )
 
@@ -178,5 +180,34 @@ func TestWarmRunDrawsEveryNetworkBufferFromThePool(t *testing.T) {
 		if n := pool.Made() - made; n != 0 {
 			t.Errorf("%s: the second Run made %d network buffers the pool should have held", name, n)
 		}
+	}
+}
+
+// TestRunHandsBackAnEmptySimulator: Run hands its simulator back
+// emptied, events still pending at the end included. nak-loss stops
+// with fragment groups waiting on their 1 s reassembly timers, later
+// than any next run of these cases ends, so a simulator that kept them
+// would pass every digest here; the one sim.New hands out next must
+// instead have nothing queued and fire nothing run out to 10 s. Not
+// parallel: no other run may take the simulator in between.
+func TestRunHandsBackAnEmptySimulator(t *testing.T) {
+	ccfg, pcfg, size := goldenCases()["nak-loss"]()
+	if res, err := run(ccfg, pcfg, size); err != nil || !res.Verified {
+		t.Fatalf("nak-loss: verified=%v err=%v", res != nil && res.Verified, err)
+	}
+	s := sim.New()
+	defer s.Release()
+	if s.SlabSize() == 0 {
+		t.Fatal("Run did not hand its simulator back")
+	}
+	if at, ok := s.NextAt(); ok {
+		t.Errorf("the recycled simulator has an event due at %v", at)
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("the recycled simulator has %d events pending", n)
+	}
+	s.RunUntil(10 * time.Second)
+	if n := s.Fired(); n != 0 {
+		t.Errorf("the recycled simulator fired %d events left by the previous run", n)
 	}
 }

@@ -9,12 +9,15 @@ import (
 	"maps"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rmcast/internal/core"
 	"rmcast/internal/packet"
+	"rmcast/internal/trace"
 )
 
 // digestLoopResult fingerprints everything a loopback run observably
@@ -571,6 +574,134 @@ func TestLoopbackWarmRunMakesNoDeliveryState(t *testing.T) {
 	}
 	if warm != cold {
 		t.Fatalf("the warm run diverged from the cold one:\n  cold %s\n  warm %s", cold, warm)
+	}
+}
+
+// TestLoopbackResultOutlivesNextRun: a result's trace is the caller's
+// own. The run collects it in the net's stock, which the next run takes
+// and overwrites, so a trace handed out without its copy would change
+// under its caller. Not parallel: the second run must take the first
+// one's stock.
+func TestLoopbackResultOutlivesNextRun(t *testing.T) {
+	lossy := LoopScenario{
+		Net: LoopConfig{Seed: 11, Delay: 100 * time.Microsecond,
+			Jitter: 50 * time.Microsecond, LossRate: 0.03},
+		Protocol: core.Config{Protocol: core.ProtoNAK, NumReceivers: 5,
+			PacketSize: 1400, WindowSize: 16, PollInterval: 13},
+		MsgSize: 120000,
+	}
+	first, err := RunLoopScenario(lossy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.SenderStats.Retransmissions == 0 {
+		t.Fatal("the lossy scenario retransmitted nothing")
+	}
+	events := slices.Clone(first.Trace)
+	deliveries := slices.Clone(first.Deliveries)
+	digest := digestLoopResult(first)
+
+	other := LoopScenario{
+		Net: LoopConfig{Seed: 12, Delay: 100 * time.Microsecond, Jitter: 20 * time.Microsecond},
+		Protocol: core.Config{Protocol: core.ProtoTree, NumReceivers: 6,
+			PacketSize: 1000, WindowSize: 8, TreeHeight: 3},
+		MsgSize: 200000,
+	}
+	second, err := RunLoopScenario(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := min(len(events), len(second.Trace)); slices.Equal(events[:n], second.Trace[:n]) {
+		t.Fatal("the second run's trace starts as the first one's: overwriting it would show nothing")
+	}
+	if !slices.Equal(first.Trace, events) {
+		t.Error("the first result's trace changed during the next run")
+	}
+	if !slices.Equal(first.Deliveries, deliveries) {
+		t.Error("the first result's deliveries changed during the next run")
+	}
+	if got := digestLoopResult(first); got != digest {
+		t.Errorf("the first result's digest moved from %s to %s", digest, got)
+	}
+}
+
+// TestLoopbackWarmRunTraceIsOneCopy: a warm run draws its trace
+// scratch and message bytes from the stock, so apart from a fixed slack
+// of per-run state (nodes, protocol machines, metrics, delivery
+// records) the only bytes it allocates are the one exact-size copy of
+// its trace. That slack measured 61–66 KiB for this scenario; a run that
+// regrew its trace would allocate several trace copies more, one that
+// made its message again 117 KiB more. Not parallel: other runs would
+// take the stock and add their allocations.
+func TestLoopbackWarmRunTraceIsOneCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const slack = 96 << 10
+	sc := LoopScenario{
+		Net: LoopConfig{Seed: 7, Delay: 100 * time.Microsecond,
+			Jitter: 50 * time.Microsecond, LossRate: 0.03},
+		Protocol: core.Config{Protocol: core.ProtoNAK, NumReceivers: 5,
+			PacketSize: 1400, WindowSize: 16, PollInterval: 13},
+		MsgSize: 120000,
+	}
+	run := func() (allocated uint64, events int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunLoopScenario(sc)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.SendDone || len(res.Delivered) != sc.Protocol.NumReceivers {
+			t.Fatalf("transfer incomplete: done=%v delivered=%v", res.SendDone, res.Delivered)
+		}
+		return after.TotalAlloc - before.TotalAlloc, len(res.Trace)
+	}
+	run() // cold: grows the stock
+	// The least of three warm runs: a stray goroutine left by an
+	// earlier test must not count against the run.
+	least, events := run()
+	for i := 0; i < 2; i++ {
+		if b, _ := run(); b < least {
+			least = b
+		}
+	}
+	copyBytes := uint64(events) * uint64(unsafe.Sizeof(trace.Event{}))
+	if least > copyBytes+slack {
+		t.Errorf("a warm run allocated %d bytes: %d over its %d-byte trace copy, want at most %d",
+			least, least-copyBytes, copyBytes, slack)
+	}
+}
+
+// TestLoopbackStockDropsScratchPastCap: a stock keeps its trace
+// scratch and message bytes for the next run, emptied, but not once
+// either grew past loopScratchCap. Not parallel: it reads the stock it
+// just released.
+func TestLoopbackStockDropsScratchPastCap(t *testing.T) {
+	top := func() loopStock {
+		loopStocks.mu.Lock()
+		defer loopStocks.mu.Unlock()
+		return loopStocks.list[len(loopStocks.list)-1]
+	}
+	eventSize := int(unsafe.Sizeof(trace.Event{}))
+
+	ln := NewLoopNet(LoopConfig{})
+	ln.events = append(make([]trace.Event, 0, 1024), trace.Event{Seq: 1})
+	ln.msg = make([]byte, 4096)
+	ln.release()
+	if st := top(); len(st.events) != 0 || cap(st.events) != 1024 || cap(st.msg) != 4096 {
+		t.Errorf("a stock under the cap kept %d events of %d capacity and %d message bytes, want 0, 1024 and 4096",
+			len(st.events), cap(st.events), cap(st.msg))
+	}
+
+	ln = NewLoopNet(LoopConfig{})
+	ln.events = make([]trace.Event, 0, loopScratchCap/eventSize+1)
+	ln.msg = make([]byte, loopScratchCap+1)
+	ln.release()
+	if st := top(); st.events != nil || st.msg != nil {
+		t.Errorf("a stock past the cap kept %d bytes of trace scratch and %d message bytes",
+			cap(st.events)*eventSize, cap(st.msg))
 	}
 }
 

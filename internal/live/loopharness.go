@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,10 +51,9 @@ type LoopDelivery struct {
 
 // LoopResult is everything one loopback session observably produced.
 type LoopResult struct {
-	// Message is the transferred payload (the deterministic pattern).
-	Message []byte
 	// Trace is the complete chronological packet event stream across
-	// all nodes.
+	// all nodes: an exact-size slice that is the caller's own, shared
+	// with no later run.
 	Trace []trace.Event
 	// SendDone reports whether the sender's completion hook fired
 	// before the horizon; SendErr is what it reported (nil, or a
@@ -87,10 +87,15 @@ type LoopResult struct {
 // loopback runs of one scenario move identical bytes.
 func loopPattern(n int) []byte {
 	b := make([]byte, n)
+	fillPattern(b)
+	return b
+}
+
+// fillPattern writes loopPattern(len(b)) into b.
+func fillPattern(b []byte) {
 	for i := range b {
 		b[i] = byte(i*131 + 17)
 	}
-	return b
 }
 
 // RunLoopScenario executes one scenario start to finish on the calling
@@ -117,12 +122,17 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 		})
 	}
 
+	// The message and the trace scratch are the net's stock, kept from
+	// an earlier run; the trace is copied out exact-size at the end.
 	ln := NewLoopNet(sc.Net)
-	res := &LoopResult{Message: loopPattern(sc.MsgSize)}
+	res := &LoopResult{}
+	msg := slices.Grow(ln.msg[:0], sc.MsgSize)[:sc.MsgSize]
+	fillPattern(msg)
+	ln.msg = msg
 
 	buf := trace.New(16)
 	buf.SetSink(64, func(batch []trace.Event) {
-		res.Trace = append(res.Trace, batch...)
+		ln.events = append(ln.events, batch...)
 	})
 
 	nodes := make([]*Node, sc.Protocol.NumReceivers+1)
@@ -141,7 +151,7 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 					Rank: rank,
 					At:   at,
 					Len:  len(payload),
-					OK:   bytes.Equal(payload, res.Message),
+					OK:   bytes.Equal(payload, msg),
 				})
 			}
 		}
@@ -181,7 +191,7 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 
 	sender := nodes[0]
 	ln.At(0, func() {
-		sender.startSend(res.Message, func(err error) {
+		sender.startSend(msg, func(err error) {
 			res.SendDone = true
 			res.SendErr = err
 			res.Elapsed = ln.Now()
@@ -206,6 +216,8 @@ func RunLoopScenario(sc LoopScenario) (*LoopResult, error) {
 		n.Close()
 	}
 	buf.Flush()
+	res.Trace = make([]trace.Event, len(ln.events))
+	copy(res.Trace, ln.events)
 	ln.release()
 
 	if sender.snd != nil {

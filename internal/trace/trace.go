@@ -37,22 +37,23 @@ func (d Dir) String() string {
 	return fmt.Sprintf("dir(%d)", uint8(d))
 }
 
-// Event is one traced packet event.
+// Event is one traced packet event. Its fields run widest first, so the
+// three one-byte fields share the tail word: 48 bytes on 64-bit.
 type Event struct {
 	At    time.Duration // virtual time
 	Node  int           // the node the event happened at
-	Dir   Dir
-	Peer  int // destination (sends) or source (recvs); -1 for multicast
-	Type  packet.Type
-	Flags packet.Flags
+	Peer  int           // destination (sends) or source (recvs); -1 for multicast
+	Len   int           // payload bytes
 	MsgID uint32
 	Seq   uint32
 	// Aux mirrors the packet's auxiliary word — the ejected rank on eject
 	// announcements, the message size on allocation requests, the byte
 	// offset on data packets. Deliberately absent from String() so the
 	// golden trace digests predate it unchanged.
-	Aux uint32
-	Len int // payload bytes
+	Aux   uint32
+	Dir   Dir
+	Type  packet.Type
+	Flags packet.Flags
 }
 
 // Multicast is the Peer value of group-addressed events.

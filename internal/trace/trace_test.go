@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rmcast/internal/packet"
 )
@@ -277,5 +278,42 @@ func TestSharedBufferSinkConcurrent(t *testing.T) {
 	b.Flush()
 	if n != 400 {
 		t.Fatalf("sink saw %d events, want 400", n)
+	}
+}
+
+// TestEventSize pins Event's layout: widest fields first, so the three
+// one-byte fields share the last word. Every traced run stores one
+// Event per packet event, so a field added in the wrong place costs
+// every trace a word per event.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned on 64-bit only")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 48", got)
+	}
+}
+
+// TestSinkZeroAllocs: once its ring is full, a buffer with a sink
+// records an event without allocating — the batch is reused between
+// deliveries — on a single-threaded buffer and on a shared one.
+func TestSinkZeroAllocs(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		b := New(16)
+		if shared {
+			b = NewShared(16)
+		}
+		n := 0
+		b.SetSink(64, func(batch []Event) { n += len(batch) })
+		for i := 0; i < 100; i++ {
+			b.Add(ev(i))
+		}
+		i := 100
+		if a := testing.AllocsPerRun(1000, func() { b.Add(ev(i)); i++ }); a != 0 {
+			t.Errorf("shared=%v: %.2f allocations per Add, want 0", shared, a)
+		}
+		if b.Flush(); uint64(n) != b.Total() {
+			t.Errorf("shared=%v: sink saw %d events, Total() = %d", shared, n, b.Total())
+		}
 	}
 }
