@@ -317,6 +317,11 @@ func Execute(ctx context.Context, ccfg cluster.Config, pcfg core.Config, msgSize
 	ccfg.Trace = buf
 
 	expected := cluster.MakeMessage(msgSize)
+	if ccfg.Message == nil {
+		// The run sends expected itself, so a delivery that verified is
+		// expected and bytes.Equal below compares one pointer.
+		ccfg.Message = expected
+	}
 	prevDeliver := ccfg.OnDeliver
 	ccfg.OnDeliver = func(rank core.NodeID, at time.Duration, payload []byte) {
 		info.Deliveries = append(info.Deliveries, Delivery{

@@ -103,9 +103,12 @@ type Config struct {
 	// OnDeliver, when non-nil, is invoked at the instant a receiver's
 	// protocol endpoint delivers a complete message — every time it
 	// happens, including (buggy) repeat deliveries, which is exactly what
-	// the invariant checkers subscribe to it for. The payload slice is
-	// the receiver's own buffer, valid only during the call: the hook
-	// must not retain or mutate it, and Run recycles it on return.
+	// the invariant checkers subscribe to it for. The payload is valid
+	// only during the call and read-only: the hook must not retain or
+	// mutate it. On a verified delivery — every packet matched the
+	// run's message — it is that message itself (Message, or Run's
+	// MakeMessage copy); otherwise it is the receiver's own buffer,
+	// which Run recycles on return.
 	OnDeliver func(rank core.NodeID, at time.Duration, payload []byte)
 	// Metrics, when non-nil, is the metrics session packet-level events
 	// are counted into. Run installs a fresh session when nil, so every

@@ -215,7 +215,7 @@ func RunMulti(ctx context.Context, ccfg Config, specs []SessionSpec, flows []Cro
 			c.Hosts[h].JoinGroup(group)
 		}
 		b := c.bind(sessionPortBase+si, group, hostOf, mx, sp.Trace)
-		t, err := b.attach(pcfg, MakeSessionMessage(sp.MsgSize, si), sp.Start, sp.OnDeliver)
+		t, err := b.attach(pcfg, MakeSessionMessage(sp.MsgSize, si), sp.Start, sp.OnDeliver, true)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: session %d: %w", si, err)
 		}

@@ -269,7 +269,7 @@ func runProtocol(ctx context.Context, ccfg Config, pcfg core.Config, msgSize int
 	if msg == nil {
 		msg = MakeMessage(msgSize)
 	}
-	t, err := c.bindRoot(core.SenderID, Port).attach(pcfg, msg, 0, ccfg.OnDeliver)
+	t, err := c.bindRoot(core.SenderID, Port).attach(pcfg, msg, 0, ccfg.OnDeliver, true)
 	if err != nil {
 		return nil, err
 	}

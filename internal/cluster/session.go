@@ -36,12 +36,15 @@ type transfer struct {
 // the binding's metrics — and schedules the sender's Start after start
 // of virtual time. pcfg.NumReceivers is forced to the binding's size.
 // onDeliver, when non-nil, observes every completed delivery with the
-// time since the session's start.
+// time since the session's start. oneShot marks a transfer whose
+// deliveries release hands back (Run, RunMulti): its receivers verify
+// each payload against msg instead of copying it (core's
+// Receiver.VerifyAgainst), so a delivery that matched is msg itself.
 //
 // Every endpoint exists before the start event is created: event
 // creation order breaks same-instant ties, so it is behaviour.
 func (b *binding) attach(pcfg core.Config, msg []byte, start time.Duration,
-	onDeliver func(rank core.NodeID, at time.Duration, payload []byte)) (*transfer, error) {
+	onDeliver func(rank core.NodeID, at time.Duration, payload []byte), oneShot bool) (*transfer, error) {
 	c := b.c
 	n := len(b.hostOf) - 1
 	pcfg.NumReceivers = n
@@ -89,6 +92,9 @@ func (b *binding) attach(pcfg core.Config, msg []byte, start time.Duration,
 				return nil, err
 			}
 			rcv.SetMetrics(b.mx)
+			if oneShot {
+				rcv.VerifyAgainst(msg)
+			}
 			t.envs[r].ep = rcv
 			t.recvStats = append(t.recvStats, rcv.Stats)
 			t.rcvs[r] = rcv
@@ -165,9 +171,11 @@ func (t *transfer) summarise(res *Result, end sim.Time) (missing []core.NodeID) 
 }
 
 // release ends a one-shot run's claim on what its receivers delivered:
-// every message buffer goes back to core's pool for the next run in the
-// process. Run and RunMulti call it once summarise has verified the
-// bytes; a Session never does, because its Delivered is the caller's.
+// every message buffer — held only by a receiver that met a mismatched
+// payload — goes back to core's pool for the next run in the process,
+// and every session ends. Run and RunMulti call it once summarise has
+// verified the bytes; a Session never does, because its Delivered is
+// the caller's.
 func (t *transfer) release() {
 	t.delivered = nil
 	for _, rcv := range t.rcvs {
@@ -221,7 +229,7 @@ func NewSession(c *Cluster, root core.NodeID, port int, pcfg core.Config, msg []
 		if s.OnDeliver != nil {
 			s.OnDeliver(h, payload)
 		}
-	})
+	}, false)
 	if err != nil {
 		return nil, err
 	}
