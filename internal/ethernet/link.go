@@ -97,7 +97,9 @@ func (t *Tx) Send(f *Frame) bool {
 	}
 	done := start + t.cfg.Rate.Serialize(f.WireBytes)
 	t.busyUntil = done
-	t.sim.AtFunc(done, txSerialized, t, f)
+	// A flood sends one frame to every idle port at once, so these
+	// Posts join one queue entry.
+	t.sim.Post(done, txSerialized, t, f)
 	return true
 }
 
@@ -118,7 +120,7 @@ func txSerialized(a, b any) {
 		t.peer.RecvFrame(f)
 		return
 	}
-	t.sim.AfterFunc(t.cfg.Propagation, txDeliver, t, f)
+	t.sim.Post(t.sim.Now()+t.cfg.Propagation, txDeliver, t, f)
 }
 
 func txDeliver(a, b any) {

@@ -91,7 +91,8 @@ func (p *SwitchPort) SetFloodBlock(blocked bool) { p.floodBlocked = blocked }
 func (p *SwitchPort) RecvFrame(f *Frame) {
 	sw := p.sw
 	if sw.cfg.ForwardDelay > 0 {
-		sw.sim.AfterFunc(sw.cfg.ForwardDelay, switchForward, p, f)
+		// Switches a flood reaches at one instant post one run.
+		sw.sim.Post(sw.sim.Now()+sw.cfg.ForwardDelay, switchForward, p, f)
 		return
 	}
 	sw.forward(p, f)

@@ -175,16 +175,39 @@ func (dropGate) DrainTime(n int) time.Duration { return 0 }
 func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 	slow := DefaultCosts()
 	slow.RecvSyscall = 2 * time.Millisecond
-	var closedQueued bool
-	for name, c := range map[string]struct {
+	type discardCase struct {
 		cfg     HostConfig
 		senders []int // hosts that each send `sends` datagrams to host 1
 		sends   int
 		size    int
 		setup   func(r *rig)
 		port    int // destination port; 0 means testPort
+		// stop, when set, ends the run there, with fragment groups still
+		// open, and reclaims every host.
+		stop    time.Duration
 		dropped func(r *rig) bool
-	}{
+	}
+	// closedWhileQueued closes host 1's socket from its handler while
+	// datagrams of size bytes still wait behind the one being read.
+	closedWhileQueued := func(size int) discardCase {
+		var sock *Socket
+		var closed bool
+		return discardCase{cfg: HostConfig{Costs: slow}, senders: []int{0}, sends: 5, size: size,
+			setup: func(r *rig) {
+				sock = r.hosts[1].BindBuf(testPort+2, 0, func(*Datagram) {
+					if closed = sock.n > 0; closed {
+						sock.Close()
+					}
+				})
+			},
+			port:    testPort + 2,
+			dropped: func(*rig) bool { return closed }}
+	}
+	dropThird := func(r *rig) {
+		n := 0
+		findOutTx(r, 1).DropFn = func(*ethernet.Frame) bool { n++; return n == 3 }
+	}
+	for name, c := range map[string]discardCase{
 		"socket-buffer overflow": {cfg: HostConfig{Costs: slow, RecvBuf: 4 << 10}, senders: []int{0}, sends: 20, size: 1000,
 			dropped: func(r *rig) bool { return r.hosts[1].Stats().SocketDrops > 0 }},
 		"no bound port": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0}, sends: 1, size: 100, port: testPort + 1,
@@ -197,23 +220,19 @@ func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 		"fault-gate drop": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0}, sends: 3, size: 5000,
 			setup:   func(r *rig) { r.hosts[0].SetTx(dropGate{}) },
 			dropped: func(r *rig) bool { return r.hosts[0].Stats().SentDatagrams == 3 && len(r.got[1]) == 0 }},
+		// An open group holds a reference to the sender's buffer until
+		// it expires or its host is reclaimed.
 		"reassembly timeout": {cfg: HostConfig{Costs: DefaultCosts(), ReasmTimeout: 50 * time.Millisecond}, senders: []int{0}, sends: 1, size: 10000,
-			setup: func(r *rig) {
-				n := 0
-				findOutTx(r, 1).DropFn = func(*ethernet.Frame) bool { n++; return n == 3 }
-			},
+			setup:   dropThird,
 			dropped: func(r *rig) bool { return r.hosts[1].Stats().ReasmDrops == 1 }},
-		"socket closed with datagrams queued": {cfg: HostConfig{Costs: slow}, senders: []int{0}, sends: 5, size: 100,
-			setup: func(r *rig) {
-				var sock *Socket
-				sock = r.hosts[1].BindBuf(testPort+2, 0, func(*Datagram) {
-					if closedQueued = len(sock.queue) > 0; closedQueued {
-						sock.Close()
-					}
-				})
-			},
-			port:    testPort + 2,
-			dropped: func(*rig) bool { return closedQueued }},
+		"reassembly reclaimed": {cfg: HostConfig{Costs: DefaultCosts()}, senders: []int{0}, sends: 2, size: 10000,
+			setup: dropThird, stop: 50 * time.Millisecond,
+			dropped: func(r *rig) bool {
+				return r.hosts[1].reasm != nil && r.hosts[1].reasm.older == nil && len(r.got[1]) == 1
+			}},
+		"socket closed with datagrams queued": closedWhileQueued(100),
+		// A reassembled datagram holds the sender's buffer as well.
+		"socket closed with reassembled datagrams queued": closedWhileQueued(5000),
 	} {
 		pool := NewPool()
 		c.cfg.Pool = pool
@@ -234,9 +253,18 @@ func TestDiscardReturnsPayloadBuffer(t *testing.T) {
 				r.hosts[s].sockets[testPort].SendTo(1, port, make([]byte, c.size))
 			}
 		}
-		r.s.Run()
+		if c.stop > 0 {
+			r.s.RunUntil(c.stop)
+		} else {
+			r.s.Run()
+		}
 		if !c.dropped(r) {
 			t.Fatalf("%s: the scenario dropped nothing", name)
+		}
+		if c.stop > 0 {
+			for _, h := range r.hosts {
+				h.Reclaim()
+			}
 		}
 		free := pool.payloads[class]
 		if len(free) != sent || len(pool.payloads[1-class]) != 0 {

@@ -66,18 +66,24 @@ type reasmKey struct {
 	id  uint64
 }
 
-// reasmBuf is one fragment group: the fragments seen so far and buf,
-// the single reassembly copy they land in. A completed group becomes
-// the payload of the datagram it delivers and goes back to the pool
-// with that datagram. buf keeps its capacity across recycles, so
-// steady-state traffic of any fixed size class reassembles with zero
-// allocation.
+// reasmBuf is one fragment group: the fragments seen so far and the
+// bytes they belong to. Every fragment of a datagram is a slice of the
+// sender's payload buffer, so the group holds one reference to it, pb,
+// copies nothing, and on completion hands that reference to the
+// datagram it delivers. Only a fragment without that buffer — a
+// sharded engine's clone — makes the group copy: it moves what it holds
+// into buf, drops pb, and every later fragment lands in buf at its
+// offset; that datagram then owns the group until it is read. buf keeps
+// its capacity across recycles, so copying groups of any fixed size
+// class reassemble with zero allocation once warm.
 type reasmBuf struct {
 	key   reasmKey
 	have  []bool
 	count int
+	pb    *payloadBuf // nil once the group copies
 	buf   []byte
 	timer sim.EventID
+	older *reasmBuf // the host's open group opened before this one
 }
 
 // txFrame is a pooled frame-plus-fragment pair from the sending host's
@@ -92,9 +98,9 @@ type txFrame struct {
 
 // datagramBuf is a pooled datagram: the header struct handed through the
 // send path and to socket handlers. dg.Payload aliases pb, the sent
-// payload, on the send path and for a single-fragment datagram at a
-// receiver, and the datagram holds one reference to it; or rb's buffer,
-// for a datagram reassembled from fragments, and the datagram owns rb.
+// payload, on the send path and at a receiver, and the datagram holds
+// one reference to it; or, for a datagram reassembled from a sharded
+// engine's cloned fragments, rb's buffer, and the datagram owns rb.
 type datagramBuf struct {
 	dg Datagram
 	pb *payloadBuf
@@ -112,9 +118,10 @@ type Host struct {
 	cpuFree sim.Time
 	groups  map[Addr]bool
 	sockets map[int]*Socket
-	// reasm holds the in-progress fragment groups; it is made at the
-	// first multi-fragment datagram, which many runs never see.
-	reasm    map[reasmKey]*reasmBuf
+	// reasm is the newest open fragment group, linked to the older ones.
+	// A sender's fragments arrive in a row, so a fragment almost always
+	// belongs to the newest group, the first a lookup tries.
+	reasm    *reasmBuf
 	nextIPID uint64
 	outQ     []*datagramBuf // datagrams awaiting transmit-queue space
 	outBusy  bool
@@ -295,11 +302,11 @@ func hostIPInput(a, b any) {
 	f.Release()
 }
 
-// ipInput consumes one fragment. A single-fragment datagram is delivered
-// with its payload aliasing the sender's payload buffer, of which it
-// takes a reference — no receiver copies it. Multi-fragment groups are
-// copied once, into a pooled reassembly buffer at each
-// fragment's datagram offset.
+// ipInput consumes one fragment. A datagram is delivered with its
+// payload aliasing the sender's payload buffer, of which it holds a
+// reference — no receiver copies it. A single fragment is delivered at
+// once; a group collects its fragments and delivers when the last one
+// arrives.
 func (h *Host) ipInput(frag *fragment) {
 	if frag.count == 1 {
 		db := h.pool.getDatagram()
@@ -315,39 +322,85 @@ func (h *Host) ipInput(frag *fragment) {
 		return
 	}
 	key := reasmKey{src: frag.src, id: frag.id}
-	rb, ok := h.reasm[key]
-	if !ok {
-		if h.reasm == nil {
-			h.reasm = make(map[reasmKey]*reasmBuf)
-		}
-		rb = h.pool.getReasm(frag)
-		h.reasm[key] = rb
+	rb, newer := h.group(key)
+	if rb == nil {
+		rb, newer = h.pool.getReasm(frag), nil
+		rb.older, h.reasm = h.reasm, rb
 		rb.timer = h.sim.AfterFunc(h.cfg.ReasmTimeout, reasmExpire, h, rb)
+		if rb.pb = frag.pb; rb.pb != nil {
+			rb.pb.retain()
+		} else {
+			rb.copyFrom(frag.total, nil)
+		}
 	}
 	if rb.have[frag.index] {
 		return // duplicate fragment
 	}
 	rb.have[frag.index] = true
 	rb.count++
-	off := 0
-	if frag.index > 0 {
-		// Fragment 0 additionally carries the (virtual) UDP header, so
-		// later fragments start UDPHeader bytes earlier in the payload
-		// than their raw IP offset suggests.
-		off = frag.index*FragPayload - UDPHeader
+	if rb.pb == nil || frag.pb != rb.pb {
+		if rb.pb != nil {
+			rb.copyFrom(frag.total, rb.pb.b)
+			rb.pb.release()
+			rb.pb = nil
+		}
+		off := 0
+		if frag.index > 0 {
+			// Fragment 0 additionally carries the (virtual) UDP header,
+			// so later fragments start UDPHeader bytes earlier in the
+			// payload than their raw IP offset suggests.
+			off = frag.index*FragPayload - UDPHeader
+		}
+		copy(rb.buf[off:], frag.payload)
 	}
-	copy(rb.buf[off:], frag.payload)
 	if rb.count == frag.count {
-		delete(h.reasm, key)
+		h.unlink(rb, newer)
 		h.sim.Cancel(rb.timer)
 		db := h.pool.getDatagram()
-		db.rb = rb
 		db.dg = Datagram{
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
-			Payload: rb.buf,
+		}
+		if db.pb = rb.pb; db.pb != nil {
+			// The group's reference passes to the datagram.
+			rb.pb = nil
+			db.dg.Payload = db.pb.b
+			h.pool.putReasm(rb)
+		} else {
+			db.rb = rb
+			db.dg.Payload = rb.buf
 		}
 		h.deliver(db)
+	}
+}
+
+// copyFrom sizes rb's copy for a datagram of total bytes and fills it
+// from held, the sender's buffer the group has aliased so far (nil when
+// it holds nothing yet).
+func (rb *reasmBuf) copyFrom(total int, held []byte) {
+	if cap(rb.buf) >= total {
+		rb.buf = rb.buf[:total]
+	} else {
+		rb.buf = make([]byte, total)
+	}
+	copy(rb.buf, held)
+}
+
+// group returns the open fragment group key names, or nil, and the
+// group opened just after it (nil for the newest), which unlink needs.
+func (h *Host) group(key reasmKey) (rb, newer *reasmBuf) {
+	for rb = h.reasm; rb != nil && rb.key != key; rb = rb.older {
+		newer = rb
+	}
+	return rb, newer
+}
+
+// unlink removes rb, opened just before newer, from the open groups.
+func (h *Host) unlink(rb, newer *reasmBuf) {
+	if newer == nil {
+		h.reasm = rb.older
+	} else {
+		newer.older = rb.older
 	}
 }
 
@@ -357,10 +410,11 @@ func (h *Host) ipInput(frag *fragment) {
 func reasmExpire(a, b any) {
 	h := a.(*Host)
 	rb := b.(*reasmBuf)
-	if h.reasm[rb.key] != rb {
+	open, newer := h.group(rb.key)
+	if open != rb {
 		return
 	}
-	delete(h.reasm, rb.key)
+	h.unlink(rb, newer)
 	h.stats.ReasmDrops++
 	h.pool.putReasm(rb)
 }
@@ -372,7 +426,7 @@ func reasmExpire(a, b any) {
 // being charged) die with the simulator. The walk is fixed — backlog,
 // then sockets by port, then groups by source and IP ID — so what the
 // pool's free lists hold, and so what a later run draws, never depends
-// on map order.
+// on map order or on the order the groups opened in.
 func (h *Host) Reclaim() {
 	for _, db := range h.outQ {
 		h.pool.putDatagram(db)
@@ -380,23 +434,19 @@ func (h *Host) Reclaim() {
 	h.outQ = nil
 	var ports []int
 	for port, s := range h.sockets {
-		if len(s.queue) > 0 {
+		if s.n > 0 {
 			ports = append(ports, port)
 		}
 	}
 	slices.Sort(ports)
 	for _, port := range ports {
-		s := h.sockets[port]
-		for _, db := range s.queue {
-			h.pool.putDatagram(db)
-		}
-		s.queue, s.queued = nil, 0
+		h.sockets[port].discard()
 	}
-	if len(h.reasm) == 0 {
+	if h.reasm == nil {
 		return
 	}
-	groups := make([]*reasmBuf, 0, len(h.reasm))
-	for _, rb := range h.reasm {
+	var groups []*reasmBuf
+	for rb := h.reasm; rb != nil; rb = rb.older {
 		groups = append(groups, rb)
 	}
 	slices.SortFunc(groups, func(a, b *reasmBuf) int {
@@ -405,7 +455,7 @@ func (h *Host) Reclaim() {
 	for _, rb := range groups {
 		h.pool.putReasm(rb)
 	}
-	clear(h.reasm)
+	h.reasm = nil
 }
 
 // deliver hands a complete datagram to its socket, which now owns db.

@@ -38,11 +38,11 @@ func (p *Pool) Made() int { return p.made }
 
 // payloadBuf is a pooled copy of one sent datagram's payload, shared by
 // reference instead of copied again: SendTo's datagram, each in-flight
-// fragment frame and each receiver's queued single-fragment datagram
-// hold one reference, and the last release returns the buffer to its
-// pool. b keeps its capacity across recycles, so the buffers of each
-// payloadClass grow to the largest datagram of that class and then stop
-// allocating.
+// fragment frame, each receiver's open fragment group and each
+// receiver's queued datagram hold one reference, and the last release
+// returns the buffer to its pool. b keeps its capacity across recycles,
+// so the buffers of each payloadClass grow to the largest datagram of
+// that class and then stop allocating.
 type payloadBuf struct {
 	owner *Pool
 	class int // payloadClass of every payload the buffer holds
@@ -156,16 +156,17 @@ func (p *Pool) getReasm(frag *fragment) *reasmBuf {
 		rb.have = make([]bool, frag.count)
 	}
 	rb.count = 0
-	if cap(rb.buf) >= frag.total {
-		rb.buf = rb.buf[:frag.total]
-	} else {
-		rb.buf = make([]byte, frag.total)
-	}
 	return rb
 }
 
-// putReasm recycles rb, whose group expired or whose datagram was read.
+// putReasm recycles rb — its group expired, was reclaimed or completed,
+// or its copied datagram was read — releasing the group's reference to
+// the sender's buffer if it still holds one.
 func (p *Pool) putReasm(rb *reasmBuf) {
-	rb.timer = 0
+	if rb.pb != nil {
+		rb.pb.release()
+		rb.pb = nil
+	}
+	rb.timer, rb.older = 0, nil
 	p.reasms = append(p.reasms, rb)
 }

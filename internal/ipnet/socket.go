@@ -12,18 +12,33 @@ type Socket struct {
 	bufCap  int // payload bytes
 	handler func(dg *Datagram)
 
-	queue    []*datagramBuf
-	queued   int
-	draining bool
+	// queue is a ring: the n datagrams waiting to be read start at
+	// queue[head] and wrap around its end, so a read costs O(1) however
+	// deep the queue. It grows only when full, to the size append gives.
+	// While n > 0 the first of them is being read (its cost charged):
+	// enqueue runs from the IP input event only, never inside a read's
+	// handler, so the read that empties the queue is the last one.
+	queue   []*datagramBuf
+	head, n int
+	queued  int
+}
+
+// discard recycles every datagram waiting to be read and empties the
+// queue.
+func (s *Socket) discard() {
+	for i := 0; i < s.n; i++ {
+		s.host.pool.putDatagram(s.queue[(s.head+i)%len(s.queue)])
+	}
+	s.queue, s.head, s.n, s.queued = nil, 0, 0, 0
 }
 
 // Bind creates a socket on port with the host's default receive buffer.
 // handler runs (on the host CPU) for every datagram the application
 // reads. The datagram and its payload are only valid for the duration of
 // the call: both are pooled and recycled as soon as the handler returns,
-// and a single-fragment payload is the sender's buffer, shared read-only
-// with every other receiver of the same multicast, so a handler that
-// needs the bytes must copy them and must not write to them. Binding a
+// and the payload is the sender's buffer, shared read-only with every
+// other receiver of the same multicast, so a handler that needs the
+// bytes must copy them and must not write to them. Binding a
 // bound port panics: it is always a wiring bug.
 func (h *Host) Bind(port int, handler func(dg *Datagram)) *Socket {
 	return h.BindBuf(port, h.cfg.RecvBuf, handler)
@@ -46,11 +61,7 @@ func (h *Host) BindBuf(port, bufBytes int, handler func(dg *Datagram)) *Socket {
 // Close unbinds the socket and discards queued datagrams.
 func (s *Socket) Close() {
 	delete(s.host.sockets, s.port)
-	for _, db := range s.queue {
-		s.host.pool.putDatagram(db)
-	}
-	s.queue = nil
-	s.queued = 0
+	s.discard()
 }
 
 // Port returns the bound port.
@@ -88,10 +99,17 @@ func (s *Socket) enqueue(db *datagramBuf) {
 		s.host.pool.putDatagram(db)
 		return
 	}
-	s.queue = append(s.queue, db)
+	if s.n == len(s.queue) {
+		// Full: unwrap into the array append grows a full slice to.
+		q := append(s.queue[:s.n:s.n], nil)
+		q = q[:cap(q)]
+		copy(q[copy(q, s.queue[s.head:]):], s.queue[:s.head])
+		s.queue, s.head = q, 0
+	}
+	s.queue[(s.head+s.n)%len(s.queue)] = db
+	s.n++
 	s.queued += len(db.dg.Payload)
-	if !s.draining {
-		s.draining = true
+	if s.n == 1 {
 		s.drainNext()
 	}
 }
@@ -99,11 +117,10 @@ func (s *Socket) enqueue(db *datagramBuf) {
 // drainNext models the application's read loop: one recvfrom per queued
 // datagram, serialized on the host CPU.
 func (s *Socket) drainNext() {
-	if len(s.queue) == 0 {
-		s.draining = false
+	if s.n == 0 {
 		return
 	}
-	db := s.queue[0]
+	db := s.queue[s.head]
 	h := s.host
 	cost := h.cfg.Costs.RecvSyscall + PerByte(len(db.dg.Payload), h.cfg.Costs.RecvPerByteNs)
 	h.ExecFunc(cost, socketReadDone, s, db)
@@ -117,15 +134,12 @@ func socketReadDone(a, b any) {
 	db := b.(*datagramBuf)
 	// The socket may have been closed while the read was charged (Close
 	// recycles the queue, so db must not be touched on this path).
-	if len(s.queue) == 0 || s.queue[0] != db {
-		s.draining = false
+	if s.n == 0 || s.queue[s.head] != db {
 		return
 	}
-	// Pop by shifting down so the queue's backing array is reused
-	// forever instead of reallocating once its head is stranded.
-	n := copy(s.queue, s.queue[1:])
-	s.queue[n] = nil
-	s.queue = s.queue[:n]
+	s.queue[s.head] = nil
+	s.head = (s.head + 1) % len(s.queue)
+	s.n--
 	s.queued -= len(db.dg.Payload)
 	h := s.host
 	h.stats.RecvDatagrams++

@@ -299,7 +299,7 @@ func (ln *LoopNet) send(from, to *loopPort, f *loopFrame) {
 	}
 	f.refs++
 	*dg = loopDatagram{to: to, frame: f, src: from.addr}
-	ln.sim.AtFunc(at, arriveLoop, dg, nil)
+	ln.sim.Post(at, arriveLoop, dg, nil)
 }
 
 // recycle returns a handled delivery record to the free list (driver

@@ -129,6 +129,42 @@ func BenchmarkSimSchedule(b *testing.B) {
 	}
 }
 
+// TestPostRunZeroAllocs: runs of 30 Posts at one instant, each fired
+// member by member, allocate nothing once the slab has grown.
+func TestPostRunZeroAllocs(t *testing.T) {
+	s := New()
+	fanOut := func() {
+		at := s.Now() + time.Microsecond
+		for i := 0; i < 30; i++ {
+			s.Post(at, nopEvent, s, nil)
+		}
+		for s.Step() {
+		}
+	}
+	fanOut()
+	allocs := testing.AllocsPerRun(1000, fanOut)
+	if allocs != 0 {
+		t.Fatalf("a 30-member Post run allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkSimPostRun measures a switch flood's scheduling pattern: 30
+// Posts at one instant, then 30 Steps firing them. One op is the whole
+// fan-out.
+func BenchmarkSimPostRun(b *testing.B) {
+	s := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		at := s.Now() + time.Microsecond
+		for k := 0; k < 30; k++ {
+			s.Post(at, nopEvent, s, nil)
+		}
+		for k := 0; k < 30; k++ {
+			s.Step()
+		}
+	}
+}
+
 // BenchmarkSimScheduleDepth1k is BenchmarkSimSchedule with a standing
 // population of 1024 events, exercising realistic heap depth.
 func BenchmarkSimScheduleDepth1k(b *testing.B) {

@@ -23,6 +23,7 @@ const (
 	opNextAt          // NextAt, which may move the queue's last time past now
 	opRunUntil        // RunUntil(now + 16-bit operand)
 	opSweep           // Cancel every pending event with an even scheduling number
+	opPost            // Post 1 + operand%8 events at now + operand%4: a run at one instant
 	numOps
 )
 
@@ -37,7 +38,7 @@ type refEvent struct {
 type queueModel struct {
 	t       testing.TB
 	s       *Simulator
-	ids     []EventID   // by scheduling number
+	ids     []EventID   // by scheduling number; 0 for a Post
 	pending []refEvent  // reference: live events
 	fired   []int       // scheduling numbers in the order they fired
 	byNum   map[int]int // scheduling number → index in pending
@@ -54,8 +55,24 @@ func (m *queueModel) at(at Time) {
 	m.pending = append(m.pending, refEvent{at: at, seq: num})
 }
 
+// post schedules through Post: the event joins the previous Post's run
+// whenever the queue allows, and no EventID can cancel it.
+func (m *queueModel) post(at Time) {
+	num := len(m.ids)
+	m.ids = append(m.ids, 0)
+	m.s.Post(at, modelFire, m, num)
+	m.byNum[num] = len(m.pending)
+	m.pending = append(m.pending, refEvent{at: at, seq: num})
+}
+
+func modelFire(a, b any) {
+	m := a.(*queueModel)
+	m.fired = append(m.fired, b.(int))
+}
+
 func (m *queueModel) cancel(num int) {
 	i, ok := m.byNum[num]
+	ok = ok && m.ids[num] != 0
 	if got := m.s.Cancel(m.ids[num]); got != ok {
 		m.t.Fatalf("Cancel(event %d) = %v, want %v", num, got, ok)
 	}
@@ -206,6 +223,11 @@ func (m *queueModel) run(data []byte) {
 					m.cancel(num)
 				}
 			}
+		case opPost:
+			v := operand(&i)
+			for k := 0; k <= v%8; k++ {
+				m.post(now + Time(v/8%4))
+			}
 		}
 		checkQueue(t, m.s)
 	}
@@ -254,6 +276,14 @@ var queueSeeds = map[string][]byte{
 		}
 		return queueOps(b, repeatOp(10, opStep), []byte{opCancel, 0, opSweep, opCancel, 1})
 	}(),
+	// Post runs at one instant: runs that grow across separate opPosts,
+	// broken by a tie and by a run at another instant, stepped part way
+	// (a run whose head has fired takes no more members), then filed in
+	// a bucket behind a NextAt, cancelled around and swept.
+	"post-runs": queueOps([]byte{opPost, 7, opPost, 5, opTie, 0, opPost, 3, opPost, 8 + 3, opPost, 2},
+		repeatOp(4, opStep), []byte{opPost, 1, opPost, 1, opNear, 0x00, 0x40, opNextAt, opPost, 7},
+		repeatOp(3, opStep), []byte{opNear, 0x01, 0x00, opNextAt, opPost, 24 + 6, opPost, 2, opCancel, 3, opSweep},
+		repeatOp(6, opStep), []byte{opRunUntil, 0x01, 0x00, opPost, 31, opTie, 0}, repeatOp(12, opStep)),
 }
 
 func FuzzQueueOrder(f *testing.F) {
@@ -309,9 +339,23 @@ func TestQueueCompactsLists(t *testing.T) {
 // checkQueue asserts the radix queue's invariants: b0 is a heap of
 // entries at or before last, every entry of bucket k differs from last
 // first in bit k, full marks exactly the non-empty buckets, each list
-// ascends in seq, and the queue holds every live and dead entry once.
+// ascends in seq, every Post run is a chain of pending members at one
+// time with consecutive seqs, and the queue holds every live and dead
+// entry once, counting each run's members.
 func checkQueue(t testing.TB, s *Simulator) {
 	t.Helper()
+	queued := 0
+	members := func(idx uint32) {
+		queued++
+		for sl := s.slots[idx]; sl.run != noSlot; {
+			m := s.slots[sl.run]
+			if m.state != slotPending || m.at != sl.at || m.seq != sl.seq+1 {
+				t.Fatalf("run member at %v seq %d (state %d) follows %v seq %d", m.at, m.seq, m.state, sl.at, sl.seq)
+			}
+			queued++
+			sl = m
+		}
+	}
 	for i, e := range s.b0 {
 		if e.at > s.last {
 			t.Fatalf("b0 holds %v, after last %v", e.at, s.last)
@@ -322,8 +366,8 @@ func checkQueue(t testing.TB, s *Simulator) {
 		if sl := s.slots[e.idx]; sl.at != e.at || sl.seq != e.seq || sl.state == slotFree {
 			t.Fatalf("b0 entry %d disagrees with its slot", i)
 		}
+		members(e.idx)
 	}
-	queued := len(s.b0)
 	for k := range s.buckets {
 		if s.full&(1<<k) == 0 {
 			continue
@@ -338,7 +382,7 @@ func checkQueue(t testing.TB, s *Simulator) {
 				t.Fatalf("bucket %d is out of seq order", k)
 			}
 			prev = sl.seq
-			queued++
+			members(idx)
 			if idx == s.buckets[k].tail && sl.next != noSlot {
 				t.Fatalf("bucket %d continues past its tail", k)
 			}

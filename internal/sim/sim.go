@@ -8,7 +8,7 @@
 //
 // The engine is built for a near-zero-allocation steady state: event
 // records live in a slab ([]slot) recycled through a free list, and the
-// AtFunc/AfterFunc variants let hot paths schedule a package-level
+// AtFunc/AfterFunc/Post variants let hot paths schedule a package-level
 // function plus two argument words instead of allocating a closure per
 // event. Scheduling and firing allocate nothing once the slab and the
 // queue have grown to the simulation's high-water mark.
@@ -35,6 +35,19 @@
 // when its bucket is redistributed); when more than half of the queue is
 // dead weight it is compacted in one pass, which bounds both queue and
 // slab growth under heavy cancel/reschedule churn (retransmit timers).
+//
+// Post schedules like AtFunc but returns no EventID, so its event can
+// never be cancelled, and that lets consecutive Posts share one queue
+// entry. A Post at the same instant as the Post just before it joins
+// that Post's run, provided nothing else was scheduled in between and
+// the run's head has not fired yet. Every member keeps its own slot,
+// chained from the head through slot.run, and only the head is filed in
+// the queue; Step fires one member per call and puts the next member in
+// b0's root. A switch flooding one frame to every idle port posts such
+// a run, and it costs the queue one entry instead of one per port. The
+// pop order cannot change: a run's members share one time and hold
+// consecutive scheduling numbers, so no other event sorts between them,
+// and whatever they schedule sorts after the last of them.
 //
 // A simulator whose run is over can be handed back with Release: it
 // keeps its slab, free list and b0 at their grown capacity, and New
@@ -75,15 +88,18 @@ const noSlot = math.MaxUint32
 
 // slot is one slab entry: the payload of a scheduled event. Slots are
 // recycled through the simulator's free list; gen counts recycles. A
-// slot filed in a radix bucket links to the next one through next.
+// slot filed in a radix bucket links to the next one through next; a
+// member of a Post run links to the run's next member through run
+// (noSlot ends the run, and stands alone for every other event).
 type slot struct {
 	at    Time
 	seq   uint64
 	gen   uint32
 	next  uint32
 	state uint8
+	run   uint32
 	fn0   func()         // nullary callback (At/After)
-	fn    func(a, b any) // monomorphic callback (AtFunc/AfterFunc)
+	fn    func(a, b any) // monomorphic callback (AtFunc/AfterFunc/Post)
 	a, b  any
 }
 
@@ -128,6 +144,11 @@ type Simulator struct {
 	live    int // pending (not cancelled) events
 	dead    int // cancelled entries still queued
 	fired   uint64
+	// The latest Post's run: its head and tail slots, and the
+	// scheduling number of its tail. A Post may join it only while
+	// nextSeq still equals runSeq, that is, nothing was scheduled since.
+	runHead, runTail uint32
+	runSeq           uint64
 	// released is set while the simulator sits on the spare list.
 	released bool
 }
@@ -207,6 +228,15 @@ func (s *Simulator) SlabSize() int { return len(s.slots) }
 // schedule is the common entry point behind At/AtFunc. Exactly one of
 // fn0 and fn is non-nil.
 func (s *Simulator) schedule(at Time, fn0 func(), fn func(a, b any), a, b any) EventID {
+	idx := s.take(at, fn0, fn, a, b)
+	s.push(idx, at, s.nextSeq)
+	return EventID(uint64(s.slots[idx].gen)<<32 | uint64(idx) + 1)
+}
+
+// take fills a slot, from the free list or a grown slab, with the next
+// scheduling number and the event's payload, and counts it live. The
+// caller files it in the queue or in a run.
+func (s *Simulator) take(at Time, fn0 func(), fn func(a, b any), a, b any) uint32 {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
@@ -226,10 +256,10 @@ func (s *Simulator) schedule(at Time, fn0 func(), fn func(a, b any), a, b any) E
 	sl.at = at
 	sl.seq = s.nextSeq
 	sl.state = slotPending
+	sl.run = noSlot
 	sl.fn0, sl.fn, sl.a, sl.b = fn0, fn, a, b
-	s.push(idx, at, s.nextSeq)
 	s.live++
-	return EventID(uint64(sl.gen)<<32 | uint64(idx) + 1)
+	return idx
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in
@@ -262,6 +292,30 @@ func (s *Simulator) AtFunc(at Time, fn func(a, b any), a, b any) EventID {
 // AfterFunc schedules fn(a, b) to run d from now; see AtFunc.
 func (s *Simulator) AfterFunc(d time.Duration, fn func(a, b any), a, b any) EventID {
 	return s.AtFunc(s.now+d, fn, a, b)
+}
+
+// Post schedules fn(a, b) at at like AtFunc, but returns no EventID:
+// the event cannot be cancelled. In exchange a Post at the same instant
+// as the Post just before it, with nothing else scheduled in between,
+// joins that Post's queue entry as long as the entry's first event has
+// not fired, so a fan-out of n events at one instant costs the queue
+// one entry, not n. The events fire exactly as n AtFuncs would.
+func (s *Simulator) Post(at Time, fn func(a, b any), a, b any) {
+	if fn == nil {
+		panic("sim: scheduling nil event func")
+	}
+	// With nothing scheduled since the run's tail, no slot of the run
+	// has been reused: a head that has fired is still free.
+	join := s.runSeq == s.nextSeq && s.nextSeq != 0 &&
+		s.slots[s.runTail].at == at && s.slots[s.runHead].state == slotPending
+	idx := s.take(at, nil, fn, a, b)
+	if join {
+		s.slots[s.runTail].run = idx
+	} else {
+		s.push(idx, at, s.nextSeq)
+		s.runHead = idx
+	}
+	s.runTail, s.runSeq = idx, s.nextSeq
 }
 
 // Cancel removes a pending event in O(1): decode the slot index, compare
@@ -346,8 +400,14 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	e := s.b0[0]
-	s.popTop()
 	sl := &s.slots[e.idx]
+	if nx := sl.run; nx != noSlot {
+		// The next member of a Post run takes the root: it follows e
+		// directly in (at, seq) order, so the heap needs no sifting.
+		s.b0[0] = entry{at: e.at, seq: s.slots[nx].seq, idx: nx}
+	} else {
+		s.popTop()
+	}
 	fn0, fn, a, b := sl.fn0, sl.fn, sl.a, sl.b
 	s.freeSlot(e.idx)
 	s.live--
