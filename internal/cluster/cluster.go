@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"rmcast/internal/core"
@@ -18,6 +17,7 @@ import (
 	"rmcast/internal/faults"
 	"rmcast/internal/ipnet"
 	"rmcast/internal/metrics"
+	"rmcast/internal/pool"
 	"rmcast/internal/rng"
 	"rmcast/internal/sim"
 	"rmcast/internal/topo"
@@ -195,31 +195,22 @@ type Cluster struct {
 	pools []*ipnet.Pool
 }
 
-// netPools is the process's LIFO free list of network buffer pools. New
+// netPools is the process's free list of network buffer pools. New
 // takes one per simulator and Run and RunMulti hand them back when the
 // run is over, so a run draws its datagrams, frames, payload copies and
 // reassembly buffers from what an earlier run returned instead of
 // growing every pool again. The list holds at most as many pools as
 // simulators the process ever ran at once.
-var netPools struct {
-	mu   sync.Mutex
-	list []*ipnet.Pool
-}
+var netPools pool.List[*ipnet.Pool]
 
-// takePools pops n pools, making any the list lacks.
+// takePools takes n pools, making any the list lacks.
 func takePools(n int) []*ipnet.Pool {
 	ps := make([]*ipnet.Pool, n)
-	netPools.mu.Lock()
 	for i := range ps {
-		if k := len(netPools.list) - 1; k >= 0 {
-			ps[i] = netPools.list[k]
-			netPools.list[k] = nil
-			netPools.list = netPools.list[:k]
-		} else {
-			ps[i] = ipnet.NewPool()
+		if ps[i], _ = netPools.Get(); ps[i] == nil {
+			ps[i] = new(ipnet.Pool)
 		}
 	}
-	netPools.mu.Unlock()
 	return ps
 }
 
@@ -239,9 +230,9 @@ func (c *Cluster) recycle() {
 	if c.sh == nil {
 		c.Sim.Release()
 	}
-	netPools.mu.Lock()
-	netPools.list = append(netPools.list, c.pools...)
-	netPools.mu.Unlock()
+	for _, p := range c.pools {
+		netPools.Put(p)
+	}
 }
 
 // Sharded reports whether the cluster executes on multiple shards.

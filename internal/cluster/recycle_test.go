@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"runtime"
 	"slices"
@@ -251,12 +252,11 @@ func TestSessionKeepsDeliveredAcrossRuns(t *testing.T) {
 // the pool in between.
 func TestWarmRunDrawsEveryNetworkBufferFromThePool(t *testing.T) {
 	top := func() *ipnet.Pool {
-		netPools.mu.Lock()
-		defer netPools.mu.Unlock()
-		if len(netPools.list) == 0 {
-			return nil
+		p, _ := netPools.Get()
+		if p != nil {
+			netPools.Put(p)
 		}
-		return netPools.list[len(netPools.list)-1]
+		return p
 	}
 	for _, name := range []string{"ack", "nak-loss", "ring", "tree", "nak-bus"} {
 		once := func() {
@@ -277,6 +277,51 @@ func TestWarmRunDrawsEveryNetworkBufferFromThePool(t *testing.T) {
 		}
 		if n := pool.Made() - made; n != 0 {
 			t.Errorf("%s: the second Run made %d network buffers the pool should have held", name, n)
+		}
+	}
+}
+
+// TestDrainedRunMultiReturnsEveryNetworkBuffer is the network pools'
+// leak oracle. RunMulti runs until the fabric drains, so once it is over
+// no event, socket or fragment group holds a network buffer: every
+// datagram, frame, payload copy and reassembly group a pool made must
+// be back on its free lists. Each golden case runs as a one-session
+// RunMulti, serially and, where the engine allows, on two shards, whose
+// two pools are checked alike. Not parallel: no other run may take the
+// pools in between.
+func TestDrainedRunMultiReturnsEveryNetworkBuffer(t *testing.T) {
+	for _, name := range []string{"ack", "nak-loss", "ring", "tree", "nak-bus"} {
+		for _, shards := range []int{0, 2} {
+			ccfg, pcfg, size := goldenCases()[name]()
+			if shards > 0 && ccfg.Topology == SharedBus {
+				continue // the bus is one collision domain: nothing to shard
+			}
+			ccfg.Shards = shards
+			pcfg.NumReceivers = ccfg.NumReceivers
+			spec := SessionSpec{Proto: pcfg, MsgSize: size}
+			for h := 1; h <= ccfg.NumReceivers; h++ {
+				spec.Receivers = append(spec.Receivers, h)
+			}
+			res, err := RunMulti(context.Background(), ccfg, []SessionSpec{spec}, nil)
+			if err != nil || !res.Sessions[0].Verified {
+				t.Fatalf("%s on %d shards: verified=%v err=%v", name, shards, res != nil && res.Sessions[0].Verified, err)
+			}
+			var pools []*ipnet.Pool
+			for i := 0; i < max(shards, 1); i++ {
+				p, ok := netPools.Get()
+				if !ok {
+					t.Fatalf("%s on %d shards: RunMulti handed back %d pools", name, shards, i)
+				}
+				pools = append(pools, p)
+			}
+			for i := len(pools) - 1; i >= 0; i-- {
+				p := pools[i]
+				netPools.Put(p)
+				if p.Idle() != p.Made() {
+					t.Errorf("%s on %d shards: a pool has %d of the %d buffers it made on its free lists",
+						name, shards, p.Idle(), p.Made())
+				}
+			}
 		}
 	}
 }

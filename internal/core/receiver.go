@@ -3,12 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rmcast/internal/metrics"
 	"rmcast/internal/packet"
+	"rmcast/internal/pool"
 	"rmcast/internal/rng"
 )
 
@@ -378,72 +378,38 @@ func (m *Message) Bytes() []byte { return m.b }
 func (m *Message) Release() {
 	switch n := m.refs.Add(-1); {
 	case n == 0:
-		putMessage(m)
+		msgBufs.Put(m)
 	case n < 0:
 		panic("core: message released more often than retained")
 	}
 }
 
-// msgBufs holds released message buffers for the next session of any
-// receiver in the process. It is a LIFO free list, not a sync.Pool, so
-// what a run draws does not depend on when the garbage collector last
-// ran; it never holds more buffers than the process had in use at once,
-// nor more than msgBufsCap bytes of them: a buffer that would take it
-// past the cap is left to the garbage collector, so one very large run
-// does not pin its peak for the life of the process.
-// The lock is there because runs execute on several goroutines and a
-// live node's holder may release on the application's. One list rather
-// than size classes: every receiver of a run asks for the same size, so
-// a buffer too small for the request at hand (popped and dropped) is
-// rare, and rounding capacities up to a class allocated more than it
-// saved on `rmbench -exp fig8 -quick` (426,502-byte messages; numbers in
+// msgBufs holds released message buffers, weighed by capacity, for the
+// next session of any receiver in the process: a process-wide list
+// because runs execute on several goroutines and a live node's holder
+// may release on the application's. One list rather than size classes:
+// every receiver of a run asks for the same size, so a buffer too small
+// for the request at hand (taken and dropped) is rare, and rounding
+// capacities up to a class allocated more than it saved on
+// `rmbench -exp fig8 -quick` (426,502-byte messages; numbers in
 // CHANGES.md, PR 20).
-var msgBufs struct {
-	mu    sync.Mutex
-	list  []*Message
-	bytes int // the buffers' capacity, summed
-}
+var msgBufs = pool.NewList(msgBufsCap, func(m *Message) int { return cap(m.b) })
 
-// msgBufsCap bounds msgBufs' bytes. It sits above the working sets the
-// benchmark's workloads recycle (30 × 2 MiB for sim_bulk, 1 024 × 64 KiB
-// for sim_scale), so that those never fall back to allocating.
+// msgBufsCap bounds msgBufs' bytes. Only receivers that copy draw on
+// the list — live nodes, cluster.Session's receivers and a verifying
+// receiver that materialises — as a one-shot Run's receivers hold no
+// buffer. The cap sits far above a live group's use (live_udp_bulk sends
+// 4 MiB to 2 receivers), while a run whose thousands of receivers all
+// copied (4 096 × 64 KiB is 256 MiB) does not pin its peak for the
+// life of the process.
 const msgBufsCap = 128 << 20
-
-// getMessage pops the most recently released buffer, or nil.
-func getMessage() *Message {
-	msgBufs.mu.Lock()
-	defer msgBufs.mu.Unlock()
-	n := len(msgBufs.list) - 1
-	if n < 0 {
-		return nil
-	}
-	m := msgBufs.list[n]
-	msgBufs.list[n] = nil
-	msgBufs.list = msgBufs.list[:n]
-	msgBufs.bytes -= cap(m.b)
-	return m
-}
-
-// putMessage returns m, whose last reference is gone, to the free list,
-// or drops it when the list holds msgBufsCap bytes without it.
-func putMessage(m *Message) {
-	msgBufs.mu.Lock()
-	defer msgBufs.mu.Unlock()
-	if msgBufs.bytes+cap(m.b) > msgBufsCap {
-		return
-	}
-	msgBufs.list = append(msgBufs.list, m)
-	msgBufs.bytes += cap(m.b)
-}
 
 // FreeMessagesForTests reports what the message free list holds: its
 // buffers and their capacity in bytes. It exists so that tests in other
 // packages can check whether a run drew on or stocked the list; nothing
 // else should call it.
 func FreeMessagesForTests() (buffers, size int) {
-	msgBufs.mu.Lock()
-	defer msgBufs.mu.Unlock()
-	return len(msgBufs.list), msgBufs.bytes
+	return msgBufs.Len(), msgBufs.Bytes()
 }
 
 // messageBuffer returns the size-byte, all-zero buffer of a new
@@ -462,7 +428,7 @@ func (r *Receiver) messageBuffer(size int) []byte {
 		r.msg = nil
 	}
 	if r.msg == nil || cap(r.msg.b) < size {
-		r.msg = getMessage()
+		r.msg, _ = msgBufs.Get()
 		if r.msg == nil || cap(r.msg.b) < size {
 			r.msg = &Message{b: make([]byte, size)}
 			r.msg.refs.Store(1)

@@ -11,7 +11,11 @@
 // real 100 Mbps Ethernet delivers.
 package ethernet
 
-import "time"
+import (
+	"time"
+
+	"rmcast/internal/pool"
+)
 
 // Addr is a station (MAC-level) address. Hosts and switch lookups use
 // small dense integers; Broadcast addresses every station.
@@ -47,38 +51,32 @@ type Frame struct {
 	// to the Ethernet layer.
 	Payload any
 
-	refs int32
+	refs pool.Refs[Frame]
 	free func(*Frame)
 }
 
-// SetFree arms pooling: fn is invoked exactly once, when the last
-// reference is released, and must recycle the frame. The caller holds
-// the initial reference.
+// SetFree arms pooling on a new or recycled frame: fn is invoked exactly
+// once, when the last reference is released, and must recycle the
+// frame. The caller holds the initial reference.
 func (f *Frame) SetFree(fn func(*Frame)) {
-	f.refs = 1
+	f.refs.Retain()
 	f.free = fn
 }
 
 // Retain adds a reference. No-op on unpooled frames.
 func (f *Frame) Retain() {
 	if f.free != nil {
-		f.refs++
+		f.refs.Retain()
 	}
 }
 
 // Release drops a reference, recycling the frame when the count reaches
 // zero. No-op on unpooled frames.
 func (f *Frame) Release() {
-	if f.free == nil {
-		return
-	}
-	f.refs--
-	if f.refs == 0 {
+	if f.free != nil && f.refs.Release() {
 		fn := f.free
 		f.free = nil
 		fn(f)
-	} else if f.refs < 0 {
-		panic("ethernet: Frame released more times than retained")
 	}
 }
 

@@ -21,7 +21,6 @@ func CloneFrame(f *ethernet.Frame) *ethernet.Frame {
 	}
 	cp := *frag
 	cp.tf = nil
-	cp.owner = nil
 	cp.pb = nil
 	cp.payload = append([]byte(nil), frag.payload...)
 	return &ethernet.Frame{

@@ -156,7 +156,7 @@ func NewHost(s *sim.Simulator, cfg HostConfig) *Host {
 		pool:    cfg.Pool,
 	}
 	if h.pool == nil {
-		h.pool = NewPool()
+		h.pool = new(Pool)
 	}
 	if j := cfg.Costs.RecvJitterNs; j > 0 {
 		h.phase = time.Duration(h.jitter.Float64() * j)
@@ -309,7 +309,7 @@ func hostIPInput(a, b any) {
 // arrives.
 func (h *Host) ipInput(frag *fragment) {
 	if frag.count == 1 {
-		db := h.pool.getDatagram()
+		db := take(h.pool, &h.pool.dgrams)
 		db.dg = Datagram{
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
@@ -356,7 +356,7 @@ func (h *Host) ipInput(frag *fragment) {
 	if rb.count == frag.count {
 		h.unlink(rb, newer)
 		h.sim.Cancel(rb.timer)
-		db := h.pool.getDatagram()
+		db := take(h.pool, &h.pool.dgrams)
 		db.dg = Datagram{
 			Src: frag.src, Dst: frag.dst,
 			SrcPort: frag.srcPort, DstPort: frag.dstPort,
@@ -545,10 +545,10 @@ func (h *Host) transmit(db *datagramBuf) {
 			lo = i*FragPayload - UDPHeader
 		}
 		hi := i*FragPayload + chunk - UDPHeader
-		tf := h.pool.getTxFrame()
+		tf := take(h.pool, &h.pool.frames)
 		db.pb.retain()
 		tf.frag = fragment{
-			tf: tf, owner: h.pool, pb: db.pb,
+			tf: tf, pb: db.pb,
 			src: h.cfg.Addr, dst: dg.Dst,
 			srcPort: dg.SrcPort, dstPort: dg.DstPort,
 			id: id, index: i, count: count, total: total,

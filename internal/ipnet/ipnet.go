@@ -88,12 +88,11 @@ type Datagram struct {
 // fragmentation never copies bytes — and every fragment carries the
 // complete datagram metadata, because with loss and reordering any
 // fragment can be the first (or only) one a receiver sees. Fragments
-// live inside pooled txFrames; tf and owner route the frame back to the
-// sending host's pool when the last reference is released, and the
+// live inside pooled txFrames; tf and pb's owner route the frame back to
+// the sending host's pool when the last reference is released, and the
 // frame's reference to pb goes with it.
 type fragment struct {
 	tf      *txFrame
-	owner   *Pool
 	pb      *payloadBuf
 	src     Addr // sending host (also the reassembly key)
 	dst     Addr

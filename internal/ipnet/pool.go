@@ -1,12 +1,15 @@
 package ipnet
 
-import "rmcast/internal/ethernet"
+import (
+	"rmcast/internal/ethernet"
+	"rmcast/internal/pool"
+)
 
 // Pool holds the network buffers of every host on one simulator: the
 // frame-plus-fragment pairs, datagram headers, payload copies and
 // reassembly state the send and receive paths move, each on a LIFO free
-// list. Plain slices, not sync.Pool: one simulator is single-threaded,
-// so a Pool needs no lock, recycles deterministically and survives GC.
+// list. The lists are pool.Stacks, with no lock: one simulator is
+// single-threaded. They recycle deterministically and survive GC.
 // The last release of a buffer returns it here from wherever on the
 // simulator it happens — another host's input path, a switch's drop
 // site — because every host on the simulator shares the one Pool.
@@ -15,26 +18,29 @@ import "rmcast/internal/ethernet"
 // belongs to a run: a Pool handed to the next simulation (cluster
 // recycles them from run to run) serves an identical run without
 // allocating. A free list holds at most the peak number of its buffers
-// in use at once.
+// in use at once. The zero value is an empty pool.
 type Pool struct {
-	frames []*txFrame
-	dgrams []*datagramBuf
+	frames pool.Stack[*txFrame]
+	dgrams pool.Stack[*datagramBuf]
 	// payloads is two lists, indexed by payloadClass, so that a small
 	// datagram (a control message) never takes, and a fragmented one
 	// never has to grow, the other kind's buffer.
-	payloads [2][]*payloadBuf
-	reasms   []*reasmBuf
+	payloads [2]pool.Stack[*payloadBuf]
+	reasms   pool.Stack[*reasmBuf]
 
 	made int
 }
-
-// NewPool returns an empty pool.
-func NewPool() *Pool { return new(Pool) }
 
 // Made reports how many buffers the pool has had to make because its
 // free list was empty: frames, datagrams, payload copies and reassembly
 // groups together. A byte buffer grown in place is not counted.
 func (p *Pool) Made() int { return p.made }
+
+// Idle reports how many buffers are on the pool's free lists: Made, once
+// every buffer the pool lent has come back.
+func (p *Pool) Idle() int {
+	return p.frames.Len() + p.dgrams.Len() + p.payloads[0].Len() + p.payloads[1].Len() + p.reasms.Len()
+}
 
 // payloadBuf is a pooled copy of one sent datagram's payload, shared by
 // reference instead of copied again: SendTo's datagram, each in-flight
@@ -47,7 +53,7 @@ type payloadBuf struct {
 	owner *Pool
 	class int // payloadClass of every payload the buffer holds
 	b     []byte
-	refs  int
+	refs  pool.Refs[payloadBuf]
 }
 
 // payloadClass is 0 for a payload that fits one fragment, else 1.
@@ -58,50 +64,33 @@ func payloadClass(n int) int {
 	return 1
 }
 
-func (pb *payloadBuf) retain() { pb.refs++ }
+func (pb *payloadBuf) retain() { pb.refs.Retain() }
 
 func (pb *payloadBuf) release() {
-	pb.refs--
-	switch {
-	case pb.refs == 0:
-		free := &pb.owner.payloads[pb.class]
-		*free = append(*free, pb)
-	case pb.refs < 0:
-		panic("ipnet: payload buffer released more often than retained")
+	if pb.refs.Release() {
+		pb.owner.payloads[pb.class].Push(pb)
 	}
 }
 
-// getTxFrame pops a pooled frame or makes a new one.
-func (p *Pool) getTxFrame() *txFrame {
-	if n := len(p.frames) - 1; n >= 0 {
-		tf := p.frames[n]
-		p.frames = p.frames[:n]
-		return tf
+// take pops a buffer off free, one of p's lists, or makes one and
+// counts it.
+func take[T any](p *Pool, free *pool.Stack[*T]) *T {
+	if x, ok := free.Pop(); ok {
+		return x
 	}
 	p.made++
-	return &txFrame{}
+	return new(T)
 }
 
 // releaseTxFrame is the Frame free hook: it returns the txFrame, and its
 // reference to the payload buffer, to the pool of the host that sent it.
 func releaseTxFrame(f *ethernet.Frame) {
 	frag := f.Payload.(*fragment)
-	p := frag.owner
+	p := frag.pb.owner
 	tf := frag.tf
 	frag.pb.release()
 	*tf = txFrame{}
-	p.frames = append(p.frames, tf)
-}
-
-// getDatagram pops a pooled datagram or makes a new one.
-func (p *Pool) getDatagram() *datagramBuf {
-	if n := len(p.dgrams) - 1; n >= 0 {
-		db := p.dgrams[n]
-		p.dgrams = p.dgrams[:n]
-		return db
-	}
-	p.made++
-	return &datagramBuf{}
+	p.frames.Push(tf)
 }
 
 // putDatagram recycles db with what its payload aliases: it releases
@@ -117,37 +106,23 @@ func (p *Pool) putDatagram(db *datagramBuf) {
 		db.rb = nil
 	}
 	db.dg = Datagram{}
-	p.dgrams = append(p.dgrams, db)
+	p.dgrams.Push(db)
 }
 
 // copyPayload copies b into a pooled payload buffer, holding one
 // reference for the caller.
 func (p *Pool) copyPayload(b []byte) *payloadBuf {
 	class := payloadClass(len(b))
-	free := &p.payloads[class]
-	var pb *payloadBuf
-	if n := len(*free) - 1; n >= 0 {
-		pb = (*free)[n]
-		*free = (*free)[:n]
-	} else {
-		pb = &payloadBuf{owner: p, class: class}
-		p.made++
-	}
+	pb := take(p, &p.payloads[class])
+	pb.owner, pb.class = p, class
 	pb.b = append(pb.b[:0], b...)
-	pb.refs = 1
+	pb.refs.Retain()
 	return pb
 }
 
 // getReasm prepares a pooled fragment group for frag's datagram.
 func (p *Pool) getReasm(frag *fragment) *reasmBuf {
-	var rb *reasmBuf
-	if n := len(p.reasms) - 1; n >= 0 {
-		rb = p.reasms[n]
-		p.reasms = p.reasms[:n]
-	} else {
-		rb = &reasmBuf{}
-		p.made++
-	}
+	rb := take(p, &p.reasms)
 	rb.key = reasmKey{src: frag.src, id: frag.id}
 	if cap(rb.have) >= frag.count {
 		rb.have = rb.have[:frag.count]
@@ -168,5 +143,5 @@ func (p *Pool) putReasm(rb *reasmBuf) {
 		rb.pb = nil
 	}
 	rb.timer, rb.older = 0, nil
-	p.reasms = append(p.reasms, rb)
+	p.reasms.Push(rb)
 }

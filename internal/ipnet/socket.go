@@ -78,7 +78,7 @@ func (s *Socket) SendTo(dst Addr, dstPort int, payload []byte) {
 		panic(fmt.Sprintf("ipnet: datagram of %d bytes exceeds max %d", len(payload), MaxDatagram))
 	}
 	h := s.host
-	db := h.pool.getDatagram()
+	db := take(h.pool, &h.pool.dgrams)
 	db.pb = h.pool.copyPayload(payload)
 	db.dg = Datagram{
 		Src:     h.cfg.Addr,

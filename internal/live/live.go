@@ -30,6 +30,7 @@ import (
 	"rmcast/internal/core"
 	"rmcast/internal/metrics"
 	"rmcast/internal/packet"
+	"rmcast/internal/pool"
 	"rmcast/internal/sim"
 	"rmcast/internal/trace"
 	"rmcast/internal/wire"
@@ -103,8 +104,11 @@ type Node struct {
 	// atomic, so Metrics() snapshots are safe from any goroutine.
 	mx *metrics.Session
 
-	// rx lends reader buffers to the event loop (UDP nodes only).
-	rx rxFree
+	// rx is the free list of the buffers readers lend the event loop
+	// (UDP nodes only). It never holds more than were on loan at once —
+	// at most the loop channel's capacity plus one per reader and one in
+	// the loop's hands — each no larger than a datagram it carried.
+	rx pool.List[[]byte]
 
 	// codec frames this node's traffic in the session's wire format
 	// (Protocol.WireV2). Owned by the event loop, like the endpoints
@@ -279,7 +283,13 @@ func (n *Node) handoff(frame []byte, src netip.AddrPort) {
 	if rank, ok := packet.PeekSrc(frame); ok && rank == uint16(n.cfg.Rank) {
 		return
 	}
-	buf := n.rx.get(len(frame))
+	// A buffer too small for the frame is dropped rather than kept, so
+	// the list converges on buffers of the largest frame in steady use.
+	buf, _ := n.rx.Get()
+	if cap(buf) < len(frame) {
+		buf = make([]byte, len(frame))
+	}
+	buf = buf[:len(frame)]
 	copy(buf, frame)
 	n.push(work{frame: buf, src: src})
 }
@@ -402,7 +412,7 @@ func (n *Node) run(w work) {
 		w.fn()
 	} else {
 		n.onWire(w.frame, w.src)
-		n.rx.put(w.frame)
+		n.rx.Put(w.frame)
 	}
 	n.mx.AddSenderBusy(time.Since(t0))
 }

@@ -128,9 +128,6 @@ func receive(t *testing.T, n *Node, frames [][]byte) {
 // is full — the queue shares the receiver's buffer instead of copying
 // it, and each eviction returns a buffer the next session draws.
 func TestLiveDeliveryPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop recycled message buffers")
-	}
 	const warm, runs = 40, 100
 	n := detachedNode(t, recvCfg, 1)
 	msg := livePattern(4 * recvCfg.PacketSize)
@@ -457,14 +454,14 @@ func TestLiveReaderBuffersBounded(t *testing.T) {
 		}
 	}
 	burst(hello, big, hello, big, hello, hello, big, hello)
-	if got := len(n.rx.list); got != 8 {
+	if got := n.rx.Len(); got != 8 {
 		t.Fatalf("free list holds %d buffers after 8 on loan, want 8", got)
 	}
 	burst(big, big, hello)
-	if got := len(n.rx.list); got != 8 {
+	if got := n.rx.Len(); got != 8 {
 		t.Errorf("free list holds %d buffers after a burst of 3, want still 8", got)
 	}
-	for _, b := range n.rx.list {
+	for b, ok := n.rx.Get(); ok; b, ok = n.rx.Get() {
 		if cap(b) > len(big) {
 			t.Errorf("a free buffer holds %d bytes, more than the largest datagram (%d)", cap(b), len(big))
 		}

@@ -144,40 +144,3 @@ func (tr *udpTransport) reader(conn *net.UDPConn) {
 		tr.deliver(buf[:nr], src)
 	}
 }
-
-// rxFree is a node's free list of reader buffers: LIFO, so the buffer
-// handed out next is the one just returned, still in cache. The readers
-// take buffers and the event loop returns them, so the list never holds
-// more buffers than were in flight at once — at most the loop channel's
-// capacity plus one per reader and one in the loop's hands — and each
-// is no larger than a datagram it carried.
-type rxFree struct {
-	mu   sync.Mutex
-	list [][]byte
-}
-
-// get returns an n-byte buffer: the most recently returned one when it
-// is large enough, else a fresh one. A popped buffer too small for the
-// datagram is dropped rather than kept, so the list converges on
-// buffers of the largest frame in steady use.
-func (f *rxFree) get(n int) []byte {
-	var b []byte
-	f.mu.Lock()
-	if k := len(f.list); k > 0 {
-		b = f.list[k-1]
-		f.list[k-1] = nil
-		f.list = f.list[:k-1]
-	}
-	f.mu.Unlock()
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-// put returns b to the list. The caller must not touch b afterwards.
-func (f *rxFree) put(b []byte) {
-	f.mu.Lock()
-	f.list = append(f.list, b)
-	f.mu.Unlock()
-}

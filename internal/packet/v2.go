@@ -39,7 +39,8 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sync"
+
+	"rmcast/internal/pool"
 )
 
 // Version2 marks a checksummed v2 frame.
@@ -115,7 +116,7 @@ func EncodeV2(p *Packet, minCompress int) (frame []byte, rawLen int) {
 func sealV2(dst, hdr []byte, wf WireFlags, payload []byte, minCompress int) []byte {
 	if minCompress > 0 && len(payload) >= minCompress {
 		st := getFlate()
-		defer putFlate(st) // after the copy below: c aliases st's scratch
+		defer flateFree.Put(st) // after the copy below: c aliases st's scratch
 		if c := st.deflate(payload); len(c) < len(payload) {
 			payload = c
 			wf |= WireCompressed
@@ -180,7 +181,7 @@ func DecodeFrameV2Into(p *Packet, b []byte, emit func(*Packet)) error {
 	payload := body[HeaderLenV2:]
 	if wf&WireCompressed != 0 {
 		st := getFlate()
-		defer putFlate(st) // after emit: the payload aliases st's memo
+		defer flateFree.Put(st) // after emit: the payload aliases st's memo
 		var err error
 		if payload, err = st.inflate(payload); err != nil {
 			return err
@@ -272,21 +273,15 @@ type flateState struct {
 	out  bytes.Buffer // their inflated form
 }
 
-var flateFree struct {
-	mu   sync.Mutex
-	list []*flateState
-}
+// flateFree is the process's free list of states. A caller must not use
+// a state, or any slice it lent, once it has put it back.
+var flateFree pool.List[*flateState]
 
-// getFlate pops the most recently returned state, or builds one.
+// getFlate takes the most recently returned state, or builds one.
 func getFlate() *flateState {
-	flateFree.mu.Lock()
-	if n := len(flateFree.list); n > 0 {
-		st := flateFree.list[n-1]
-		flateFree.list = flateFree.list[:n-1]
-		flateFree.mu.Unlock()
+	if st, ok := flateFree.Get(); ok {
 		return st
 	}
-	flateFree.mu.Unlock()
 	return newFlateState()
 }
 
@@ -295,14 +290,6 @@ func newFlateState() *flateState {
 	st.w, _ = flate.NewWriter(&st.buf, flate.BestSpeed) // errs only on an invalid level
 	st.r = flate.NewReader(&st.src)
 	return st
-}
-
-// putFlate returns st to the free list. The caller must not use st, or
-// any slice it lent, afterwards.
-func putFlate(st *flateState) {
-	flateFree.mu.Lock()
-	flateFree.list = append(flateFree.list, st)
-	flateFree.mu.Unlock()
 }
 
 // deflate compresses src into st's scratch. Writer.Reset is specified

@@ -58,8 +58,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"time"
+
+	"rmcast/internal/pool"
 )
 
 // Time is a virtual timestamp, measured as a duration since the start of
@@ -153,27 +154,19 @@ type Simulator struct {
 	released bool
 }
 
-// spare is the process's LIFO of released simulators. New pops from it
-// and Release pushes on it, so a run takes the slab an earlier run grew
-// instead of growing one again. It holds at most as many simulators as
-// were released without being taken again.
-var spare struct {
-	mu   sync.Mutex
-	list []*Simulator
-}
+// spare is the process's free list of released simulators. New takes
+// from it and Release puts on it, so a run takes the slab an earlier run
+// grew instead of growing one again. It holds at most as many
+// simulators as were released without being taken again.
+var spare pool.List[*Simulator]
 
 // New returns an empty simulator with the clock at zero: the one most
 // recently released, if any, else a new one.
 func New() *Simulator {
-	spare.mu.Lock()
-	defer spare.mu.Unlock()
-	k := len(spare.list) - 1
-	if k < 0 {
+	s, ok := spare.Get()
+	if !ok {
 		return &Simulator{}
 	}
-	s := spare.list[k]
-	spare.list[k] = nil
-	spare.list = spare.list[:k]
 	s.released = false
 	return s
 }
@@ -203,9 +196,7 @@ func (s *Simulator) Release() {
 		free = append(free, uint32(i))
 	}
 	*s = Simulator{slots: s.slots, free: free, b0: s.b0[:0], released: true}
-	spare.mu.Lock()
-	spare.list = append(spare.list, s)
-	spare.mu.Unlock()
+	spare.Put(s)
 }
 
 // Now returns the current virtual time.
