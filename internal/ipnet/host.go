@@ -77,13 +77,14 @@ type reasmKey struct {
 // its capacity across recycles, so copying groups of any fixed size
 // class reassemble with zero allocation once warm.
 type reasmBuf struct {
-	key   reasmKey
-	have  []bool
-	count int
-	pb    *payloadBuf // nil once the group copies
-	buf   []byte
-	timer sim.EventID
-	older *reasmBuf // the host's open group opened before this one
+	key     reasmKey
+	have    []bool
+	count   int
+	pb      *payloadBuf // nil once the group copies
+	buf     []byte
+	timer   sim.EventID
+	expires sim.Time  // when timer fires
+	older   *reasmBuf // the host's open group opened before this one
 }
 
 // txFrame is a pooled frame-plus-fragment pair from the sending host's
@@ -125,12 +126,16 @@ type Host struct {
 	nextIPID uint64
 	outQ     []*datagramBuf // datagrams awaiting transmit-queue space
 	outBusy  bool
-	jitter   *rng.Rand
+	// inputs counts the hostIPInput events booked and not yet fired.
+	inputs uint32
+	jitter *rng.Rand
 	// phase is the host's constant interrupt-phase offset, drawn once
 	// from [0, RecvJitterNs). A constant offset desynchronizes otherwise
-	// identical hosts without ever reordering frames within one host; a
-	// small per-frame component (≤ 2 µs, below the minimum frame gap)
-	// adds round-to-round variation.
+	// identical hosts; a small per-frame component (≤ 2 µs) adds
+	// round-to-round variation. At 100 Mbit/s that is below the minimum
+	// frame gap (an 84-byte frame takes 6.72 µs), so a host's frames keep
+	// their order; at 1 Gbit/s (672 ns) it is not, and a full fragment
+	// followed by a short last one can swap.
 	phase time.Duration
 	pool  *Pool
 
@@ -195,30 +200,23 @@ func (h *Host) JoinGroup(g Addr) {
 // already doing. This is the mechanism behind every CPU-bound effect in
 // the study (ACK implosion, user-level relay latency, copy overhead).
 func (h *Host) Exec(cost time.Duration, fn func()) {
-	now := h.sim.Now()
-	start := h.cpuFree
-	if start < now {
-		start = now
-	}
-	end := start + cost
-	h.cpuFree = end
-	h.stats.CPUBusy += cost
-	h.sim.At(end, fn)
+	h.sim.At(h.book(cost), fn)
 }
 
 // ExecFunc is Exec for the allocation-free callback form: the hot
 // receive and send paths use it so charging CPU costs never builds a
 // closure.
 func (h *Host) ExecFunc(cost time.Duration, fn func(a, b any), a, b any) {
-	now := h.sim.Now()
-	start := h.cpuFree
-	if start < now {
-		start = now
-	}
-	end := start + cost
+	h.sim.AtFunc(h.book(cost), fn, a, b)
+}
+
+// book charges cost to the CPU, behind the work already booked, and
+// returns the instant it completes.
+func (h *Host) book(cost time.Duration) sim.Time {
+	end := max(h.cpuFree, h.sim.Now()) + cost
 	h.cpuFree = end
 	h.stats.CPUBusy += cost
-	h.sim.AtFunc(end, fn, a, b)
+	return end
 }
 
 // UserCopy charges the user-space copy cost for n bytes (message buffer
@@ -284,30 +282,62 @@ func (h *Host) RecvFrame(f *ethernet.Frame) {
 		h.sim.AfterFunc(d, hostFragInput, h, f)
 		return
 	}
-	h.ExecFunc(h.cfg.Costs.FragOverhead, hostIPInput, h, f)
+	h.fragInput(f)
 }
 
-// hostFragInput fires after receive jitter and charges the kernel's
-// per-fragment input cost.
-func hostFragInput(a, b any) {
-	h := a.(*Host)
-	h.ExecFunc(h.cfg.Costs.FragOverhead, hostIPInput, h, b)
+// hostFragInput fires after receive jitter.
+func hostFragInput(a, b any) { a.(*Host).fragInput(b.(*ethernet.Frame)) }
+
+// fragInput charges the kernel's per-fragment input cost for f. Its IP
+// input runs when the charge ends, in an event, unless it settles: a
+// fragment that neither delivers nor meets its group's expiry touches
+// only its group and its frame, so it is taken in at once, timed as if
+// at end. The CPU takes fragments in the order they are booked, so one
+// settles only with no earlier fragment still waiting for its event.
+func (h *Host) fragInput(f *ethernet.Frame) {
+	end := h.book(h.cfg.Costs.FragOverhead)
+	if frag := f.Payload.(*fragment); h.inputs == 0 && h.settles(frag, end) {
+		h.ipInput(frag, end)
+		f.Release()
+		return
+	}
+	h.inputs++
+	h.sim.AtFunc(end, hostIPInput, h, f)
+}
+
+// settles reports whether frag, taken in at end, leaves its datagram
+// incomplete — it is a duplicate, or more fragments are missing — and
+// its group, if open, expires after end. A single fragment completes
+// its datagram.
+func (h *Host) settles(frag *fragment, end sim.Time) bool {
+	count := 0
+	if rb, _ := h.group(reasmKey{src: frag.src, id: frag.id}); rb != nil {
+		if rb.expires <= end {
+			return false
+		}
+		if rb.have[frag.index] {
+			return true
+		}
+		count = rb.count
+	}
+	return count+1 < frag.count
 }
 
 // hostIPInput runs after the kernel has processed one received fragment.
 func hostIPInput(a, b any) {
 	h := a.(*Host)
 	f := b.(*ethernet.Frame)
-	h.ipInput(f.Payload.(*fragment))
+	h.inputs--
+	h.ipInput(f.Payload.(*fragment), h.sim.Now())
 	f.Release()
 }
 
-// ipInput consumes one fragment. A datagram is delivered with its
-// payload aliasing the sender's payload buffer, of which it holds a
-// reference — no receiver copies it. A single fragment is delivered at
-// once; a group collects its fragments and delivers when the last one
-// arrives.
-func (h *Host) ipInput(frag *fragment) {
+// ipInput consumes one fragment, taken in at the instant at. A datagram
+// is delivered with its payload aliasing the sender's payload buffer,
+// of which it holds a reference — no receiver copies it. A single
+// fragment is delivered at once; a group collects its fragments and
+// delivers when the last one arrives.
+func (h *Host) ipInput(frag *fragment, at sim.Time) {
 	if frag.count == 1 {
 		db := take(h.pool, &h.pool.dgrams)
 		db.dg = Datagram{
@@ -326,7 +356,8 @@ func (h *Host) ipInput(frag *fragment) {
 	if rb == nil {
 		rb, newer = h.pool.getReasm(frag), nil
 		rb.older, h.reasm = h.reasm, rb
-		rb.timer = h.sim.AfterFunc(h.cfg.ReasmTimeout, reasmExpire, h, rb)
+		rb.expires = at + h.cfg.ReasmTimeout
+		rb.timer = h.sim.AtFunc(rb.expires, reasmExpire, h, rb)
 		if rb.pb = frag.pb; rb.pb != nil {
 			rb.pb.retain()
 		} else {

@@ -1,9 +1,11 @@
 package ipnet
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"rmcast/internal/ethernet"
 	"rmcast/internal/sim"
 )
 
@@ -27,8 +29,9 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 }
 
 func TestJitterDoesNotReorderDatagrams(t *testing.T) {
-	// The per-host phase + sub-gap per-frame jitter must preserve
-	// datagram order even for minimum-size datagrams sent back to back.
+	// At 100 Mbit/s the per-host phase + per-frame jitter (≤ 2 µs, below
+	// the 6.72 µs a minimum frame takes) must preserve datagram order
+	// even for minimum-size datagrams sent back to back.
 	r := newRig(t, 2, HostConfig{Costs: DefaultCosts(), Seed: 9, RecvBuf: 1 << 20})
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -44,6 +47,50 @@ func TestJitterDoesNotReorderDatagrams(t *testing.T) {
 			t.Fatalf("datagram %d arrived in position %d", got, i)
 		}
 	}
+}
+
+// TestJitterCanSwapFragmentsAtGigabit: at 1 Gbit/s a minimum frame
+// takes 672 ns, less than the per-frame jitter, so a host may take a
+// datagram's short last fragment in before the full one ahead of it.
+// Reassembly does not depend on the order: every datagram arrives whole.
+func TestJitterCanSwapFragmentsAtGigabit(t *testing.T) {
+	s := sim.New()
+	sw := ethernet.NewSwitch(s, ethernet.SwitchConfig{
+		PortRate:        ethernet.Rate1Gbps,
+		ForwardDelay:    time.Microsecond,
+		PortPropagation: 100 * time.Nanosecond,
+	})
+	// A full fragment and a one-byte one.
+	payload := patterned(FragPayload - UDPHeader + 1)
+	got := 0
+	var hosts []*Host
+	for i := 0; i < 2; i++ {
+		h := NewHost(s, HostConfig{Addr: Addr(i), Costs: DefaultCosts(), Seed: 3, RecvBuf: 1 << 20})
+		h.SetTx(sw.ConnectPort(h.EthernetAddr(), h))
+		h.Bind(testPort, func(dg *Datagram) {
+			if bytes.Equal(dg.Payload, payload) {
+				got++
+			}
+		})
+		hosts = append(hosts, h)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		hosts[0].sockets[testPort].SendTo(1, testPort, payload)
+	}
+	swapped := map[uint64]bool{}
+	for s.Step() {
+		if rb := hosts[1].reasm; rb != nil && rb.have[1] && !rb.have[0] {
+			swapped[rb.key.id] = true
+		}
+	}
+	if len(swapped) == 0 {
+		t.Fatal("no datagram's last fragment was taken in before its first")
+	}
+	if got != n {
+		t.Fatalf("delivered %d whole datagrams of %d (%d swapped)", got, n, len(swapped))
+	}
+	t.Logf("%d of %d datagrams had their fragments swapped", len(swapped), n)
 }
 
 func TestJitterDesynchronizesHosts(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"rmcast/internal/ethernet"
+	"rmcast/internal/sim"
 )
 
 // patterned returns n bytes no two fragments of which are alike.
@@ -153,5 +154,100 @@ func TestHostAndSocketSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(Socket{}); n > 80 {
 		t.Fatalf("Socket is %d bytes, want at most 80", n)
+	}
+}
+
+// frameTrap is a transmitter that keeps every frame it is handed.
+type frameTrap struct{ frames []*ethernet.Frame }
+
+func (t *frameTrap) Send(f *ethernet.Frame) bool { t.frames = append(t.frames, f); return true }
+func (*frameTrap) Queued() int                   { return 0 }
+func (*frameTrap) DrainTime(int) time.Duration   { return 0 }
+
+// trapPair is a sender whose frames are trapped and an idle receiver to
+// which the test hands them.
+type trapPair struct {
+	s        *sim.Simulator
+	from, to *Host
+	trap     frameTrap
+}
+
+func newTrapPair(costs CostModel) *trapPair {
+	p := &trapPair{s: sim.New()}
+	p.from = NewHost(p.s, HostConfig{Addr: 0, Costs: costs})
+	p.to = NewHost(p.s, HostConfig{Addr: 1, Costs: costs, RecvBuf: 1 << 20})
+	p.from.SetTx(&p.trap)
+	p.from.Bind(testPort, func(*Datagram) {})
+	return p
+}
+
+// send has the sender send payload to port on the receiver and returns
+// how many events the receiver fires taking in its fragments, handed to
+// it in one burst.
+func (p *trapPair) send(port int, payload []byte) uint64 {
+	p.from.sockets[testPort].SendTo(1, port, payload)
+	p.s.Run()
+	fired := p.s.Fired()
+	for _, f := range p.trap.frames {
+		p.to.RecvFrame(f)
+	}
+	p.trap.frames = p.trap.frames[:0]
+	p.s.Run()
+	return p.s.Fired() - fired
+}
+
+// TestFragmentSettlesAtBooking: an idle host takes an N-fragment
+// datagram in with N+1 events under receive jitter (N arrivals, then
+// the input of the fragment that completes it) and with 1 without; the
+// first N-1 fragments are taken in when their CPU charge is booked.
+// The datagram goes to an unbound port, so reading it costs nothing.
+func TestFragmentSettlesAtBooking(t *testing.T) {
+	for _, size := range []int{8000, 50000} {
+		for _, jitter := range []bool{true, false} {
+			costs := DefaultCosts()
+			if !jitter {
+				costs.RecvJitterNs = 0
+			}
+			p := newTrapPair(costs)
+			n := FragmentCount(size)
+			want := uint64(1)
+			if jitter {
+				want += uint64(n)
+			}
+			if got := p.send(testPort+1, make([]byte, size)); got != want {
+				t.Errorf("%d fragments, jitter %v: the receiver fired %d events, want %d", n, jitter, got, want)
+			}
+			st := p.to.Stats()
+			if st.NoPortDrops != 1 || st.CPUBusy != time.Duration(n)*costs.FragOverhead {
+				t.Errorf("%d fragments, jitter %v: %d datagrams taken in, CPU busy %v", n, jitter, st.NoPortDrops, st.CPUBusy)
+			}
+		}
+	}
+}
+
+// TestFragmentBookingZeroAllocs: once warm, a fragmented datagram taken
+// in — fragments settled at booking, the last one's input event,
+// reassembly, delivery and the read — allocates nothing, with receive
+// jitter and without.
+func TestFragmentBookingZeroAllocs(t *testing.T) {
+	for _, jitter := range []bool{true, false} {
+		costs := DefaultCosts()
+		if !jitter {
+			costs.RecvJitterNs = 0
+		}
+		p := newTrapPair(costs)
+		got := 0
+		p.to.Bind(testPort, func(*Datagram) { got++ })
+		payload := make([]byte, 50000)
+		for i := 0; i < 8; i++ {
+			p.send(testPort, payload)
+		}
+		allocs := testing.AllocsPerRun(100, func() { p.send(testPort, payload) })
+		if allocs != 0 {
+			t.Errorf("jitter %v: a 34-fragment datagram taken in allocated %.1f objects, want 0", jitter, allocs)
+		}
+		if got != 8+101 {
+			t.Errorf("jitter %v: read %d datagrams, want %d", jitter, got, 8+101)
+		}
 	}
 }
