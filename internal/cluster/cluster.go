@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rmcast/internal/core"
@@ -265,6 +266,48 @@ func (cfg Config) fabric() *topo.Spec {
 	return &s
 }
 
+// shapeKey is what a topo.Layout depends on.
+type shapeKey struct {
+	spec  topo.Spec
+	hosts int
+	rate  ethernet.Rate
+}
+
+// lastLayout is the layout of the shape most recently laid out. A
+// Layout is never written once Spec.Layout returns it, so every cluster
+// of one shape, on any goroutine, shares it; one entry serves repeated
+// runs and sweeps that repeat a shape.
+var lastLayout struct {
+	sync.Mutex
+	key    shapeKey
+	layout *topo.Layout
+}
+
+// layout returns the config's fabric laid out for its hosts, nil for
+// the shared bus.
+func (cfg Config) layout() (*topo.Layout, error) {
+	spec := cfg.fabric()
+	if spec == nil {
+		return nil, nil
+	}
+	k := shapeKey{*spec, cfg.NumReceivers + 1, cfg.LinkRate}
+	lastLayout.Lock()
+	l := lastLayout.layout
+	hit := l != nil && lastLayout.key == k
+	lastLayout.Unlock()
+	if hit {
+		return l, nil
+	}
+	l, err := spec.Layout(k.hosts, k.rate)
+	if err != nil {
+		return nil, err
+	}
+	lastLayout.Lock()
+	lastLayout.key, lastLayout.layout = k, l
+	lastLayout.Unlock()
+	return l, nil
+}
+
 // New builds the testbed: hosts wired to the configured topology, all
 // joined to one multicast group. Every host on one simulator shares a
 // network buffer pool taken from the process's free list.
@@ -283,14 +326,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Topo != nil && cfg.Topology == SharedBus {
 		return nil, fmt.Errorf("cluster: Topo and the shared-bus topology are mutually exclusive")
 	}
-	spec := cfg.fabric()
-	var layout *topo.Layout
-	if spec != nil {
-		l, err := spec.Layout(cfg.NumReceivers+1, cfg.LinkRate)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		layout = l
+	layout, err := cfg.layout()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{
 		Cfg:   cfg,
@@ -369,9 +407,11 @@ func (c *Cluster) buildFabric(l *topo.Layout) {
 		sws[i] = ethernet.NewSwitch(c.simForSwitch(i), scfg)
 		c.Switches = append(c.Switches, sws[i])
 	}
+	hostPorts := make([]*ethernet.SwitchPort, len(c.Hosts))
 	for i, h := range c.Hosts {
-		sw := sws[l.HostSwitch[i]]
-		h.SetTx(c.attachTx(i, sw.ConnectPort(h.EthernetAddr(), c.attachRecv(i, h))))
+		p, tx := sws[l.HostSwitch[i]].AttachPort(c.attachRecv(i, h))
+		hostPorts[i] = p
+		h.SetTx(c.attachTx(i, tx))
 	}
 	trunkPorts := make([][2]*ethernet.SwitchPort, len(l.Trunks))
 	for t, tr := range l.Trunks {
@@ -394,17 +434,21 @@ func (c *Cluster) buildFabric(l *topo.Layout) {
 		}
 		trunkPorts[t] = [2]*ethernet.SwitchPort{pa, pb}
 	}
-	for s := range sws {
-		for i, h := range c.Hosts {
-			t := l.Route(s, i)
-			if t < 0 {
-				continue
+	// Highest rank first, so each switch's first Learn sizes its table.
+	for s, sw := range sws {
+		for i := len(c.Hosts) - 1; i >= 0; i-- {
+			p := hostPorts[i]
+			if l.HostSwitch[i] != s {
+				t := l.Route(s, i)
+				if t < 0 {
+					continue
+				}
+				p = trunkPorts[t][0]
+				if l.Trunks[t].B == s {
+					p = trunkPorts[t][1]
+				}
 			}
-			p := trunkPorts[t][0]
-			if l.Trunks[t].B == s {
-				p = trunkPorts[t][1]
-			}
-			sws[s].Learn(h.EthernetAddr(), p)
+			sw.Learn(c.Hosts[i].EthernetAddr(), p)
 		}
 	}
 	if c.Cfg.LossRate > 0 {

@@ -216,6 +216,7 @@ func (c *Cluster) driveUntil(ctx context.Context, begin sim.Time, done func() bo
 // fabricStats snapshots every host and switch, and totals the datagrams
 // lost to full socket buffers.
 func (c *Cluster) fabricStats() (hosts []ipnet.HostStats, switches []ethernet.SwitchStats, overflow uint64) {
+	hosts = make([]ipnet.HostStats, 0, len(c.Hosts))
 	for _, h := range c.Hosts {
 		hs := h.Stats()
 		hosts = append(hosts, hs)

@@ -200,12 +200,8 @@ func (c *Cluster) driveSharded(ctx context.Context, begin sim.Time, done func() 
 // which cannot shard). CLI front ends use it to resolve `-shards auto`
 // and validate explicit counts before any simulation starts.
 func MaxShards(cfg Config) int {
-	spec := cfg.fabric()
-	if spec == nil {
-		return 0
-	}
-	l, err := spec.Layout(cfg.NumReceivers+1, cfg.LinkRate)
-	if err != nil {
+	l, err := cfg.layout()
+	if l == nil || err != nil {
 		return 0
 	}
 	return l.MaxShards()

@@ -33,7 +33,9 @@ type Switch struct {
 	sim   *sim.Simulator
 	cfg   SwitchConfig
 	ports []*SwitchPort
-	table map[Addr]*SwitchPort
+	// table is the forwarding table indexed by station address (Addr
+	// is a small dense integer); nil marks an address never learned.
+	table []*SwitchPort
 
 	flooded   uint64
 	forwarded uint64
@@ -54,7 +56,7 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 	if cfg.PortRate == 0 {
 		cfg.PortRate = Rate100Mbps
 	}
-	return &Switch{sim: s, cfg: cfg, table: make(map[Addr]*SwitchPort)}
+	return &Switch{sim: s, cfg: cfg}
 }
 
 // Port returns the i'th port, in creation order.
@@ -103,10 +105,19 @@ func switchForward(a, b any) {
 	p.sw.forward(p, b.(*Frame))
 }
 
-// Learn binds a station address to a port, as MAC learning would.
+// Learn binds a station address to a port, as MAC learning would; a
+// second Learn of the address moves it. An address past the table's
+// end grows the table to exactly that address plus one, so learning the
+// highest address first sizes it once. Broadcast, like every negative
+// address, cannot be learned.
 func (sw *Switch) Learn(a Addr, p *SwitchPort) {
-	if a == Broadcast {
-		panic("ethernet: cannot learn the broadcast address")
+	if a < 0 {
+		panic(fmt.Sprintf("ethernet: cannot learn address %d (broadcast or negative)", a))
+	}
+	if int(a) >= len(sw.table) {
+		t := make([]*SwitchPort, a+1)
+		copy(t, sw.table)
+		sw.table = t
 	}
 	sw.table[a] = p
 }
@@ -116,6 +127,15 @@ func (sw *Switch) Learn(a Addr, p *SwitchPort) {
 // device must use to reach the switch. addr registers the device in the
 // forwarding table.
 func (sw *Switch) ConnectPort(addr Addr, device Receiver) *Tx {
+	p, toSwitch := sw.AttachPort(device)
+	sw.Learn(addr, p)
+	return toSwitch
+}
+
+// AttachPort is ConnectPort without the Learn: it returns the new port
+// for the caller to register in the forwarding table, as a topology
+// builder that owns the tables does (see ConnectTrunk).
+func (sw *Switch) AttachPort(device Receiver) (*SwitchPort, *Tx) {
 	p := sw.AddPort()
 	cfg := TxConfig{
 		Rate:        sw.cfg.PortRate,
@@ -130,8 +150,7 @@ func (sw *Switch) ConnectPort(addr Addr, device Receiver) *Tx {
 	toSwitch := NewTx(sw.sim, upCfg, p)
 	// Switch → device direction: this is the switch output queue.
 	p.SetOut(NewTx(sw.sim, cfg, device))
-	sw.Learn(addr, p)
-	return toSwitch
+	return p, toSwitch
 }
 
 // ConnectSwitch links two switches with one inter-switch trunk and
@@ -178,8 +197,9 @@ func (sw *Switch) ConnectTrunk(peer *Switch, cfg, peerCfg TxConfig) (local, remo
 // Send can drop (and release) synchronously, so the switch retains
 // before every egress and releases its own reference at the end.
 func (sw *Switch) forward(ingress *SwitchPort, f *Frame) {
-	if !f.Multicast && f.Dst != Broadcast {
-		if out, ok := sw.table[f.Dst]; ok {
+	// Broadcast and every other negative address wrap past the table.
+	if !f.Multicast && uint(f.Dst) < uint(len(sw.table)) {
+		if out := sw.table[f.Dst]; out != nil {
 			if out != ingress && out.out != nil {
 				sw.forwarded++
 				out.out.Send(f)
@@ -188,8 +208,8 @@ func (sw *Switch) forward(ingress *SwitchPort, f *Frame) {
 			}
 			return
 		}
-		// Unknown unicast: flood, as a real switch would.
 	}
+	// Unknown unicast floods, as a real switch would.
 	sw.flooded++
 	for _, p := range sw.ports {
 		if p == ingress || p.out == nil || p.floodBlocked {

@@ -151,13 +151,105 @@ func TestTwoSwitchTopology(t *testing.T) {
 	}
 }
 
+// TestSwitchLearnBroadcastPanics: Broadcast, and any other negative
+// address, has no place in the dense table.
 func TestSwitchLearnBroadcastPanics(t *testing.T) {
+	for _, a := range []Addr{Broadcast, -2} {
+		func() {
+			s := sim.New()
+			sw := NewSwitch(s, SwitchConfig{})
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Learn(%d) did not panic", a)
+				}
+			}()
+			sw.Learn(a, sw.AddPort())
+		}()
+	}
+}
+
+// TestSwitchUnlearnedUnicastFloods: a unicast to an address inside the
+// table that was never learned, to one past its end, and to Broadcast
+// without the multicast flag each floods to exactly the ports a
+// multicast reaches, counted as a flood and never as a forward.
+func TestSwitchUnlearnedUnicastFloods(t *testing.T) {
 	s := sim.New()
-	sw := NewSwitch(s, SwitchConfig{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Learn(Broadcast) did not panic")
+	sw := NewSwitch(s, SwitchConfig{PortRate: Rate100Mbps})
+	addrs := []Addr{0, 1, 2, 6} // 3..5 fall inside the table, unlearned
+	txs := make([]*Tx, len(addrs))
+	cols := make([]*collector, len(addrs))
+	for i, a := range addrs {
+		cols[i] = &collector{s: s}
+		txs[i] = sw.ConnectPort(a, cols[i])
+	}
+	for _, dst := range []Addr{Broadcast, 4, 7, 99} {
+		multicast := dst == Broadcast
+		for _, c := range cols {
+			c.frames = c.frames[:0]
 		}
-	}()
-	sw.Learn(Broadcast, sw.AddPort())
+		before := sw.Stats()
+		txs[1].Send(&Frame{Src: 1, Dst: dst, Multicast: multicast, WireBytes: 500})
+		s.Run()
+		for i, c := range cols {
+			want := 1
+			if i == 1 {
+				want = 0 // never back out of the ingress
+			}
+			if len(c.frames) != want {
+				t.Errorf("dst %d: port %d got %d frames, want %d", dst, i, len(c.frames), want)
+			}
+		}
+		st := sw.Stats()
+		if st.Flooded != before.Flooded+1 || st.Forwarded != before.Forwarded {
+			t.Errorf("dst %d: stats went %+v -> %+v, want one more flood and no forward", dst, before, st)
+		}
+	}
+}
+
+// TestSwitchRelearnMovesAddress: a second Learn of an address sends its
+// unicast out of the new port only.
+func TestSwitchRelearnMovesAddress(t *testing.T) {
+	s := sim.New()
+	sw, txs, cols := testNet(s, 3, SwitchConfig{PortRate: Rate100Mbps})
+	sw.Learn(2, sw.Port(1))
+	txs[0].Send(&Frame{Src: 0, Dst: 2, WireBytes: 500})
+	s.Run()
+	if len(cols[1].frames) != 1 || len(cols[2].frames) != 0 {
+		t.Fatalf("after relearning 2 on port 1: port 1 got %d frames, port 2 got %d; want 1 and 0",
+			len(cols[1].frames), len(cols[2].frames))
+	}
+	if st := sw.Stats(); st.Forwarded != 1 || st.Flooded != 0 {
+		t.Errorf("stats = %+v, want one forward", st)
+	}
+}
+
+// TestSwitchUnicastForwardZeroAllocs pins the learned-unicast path, a
+// table index and one egress Send, at zero allocations once the
+// transmit queues are warm.
+func TestSwitchUnicastForwardZeroAllocs(t *testing.T) {
+	s := sim.New()
+	sw := NewSwitch(s, SwitchConfig{PortRate: Rate100Mbps, ForwardDelay: 5 * time.Microsecond})
+	got := 0
+	sink := ReceiverFunc(func(f *Frame) { got++; f.Release() })
+	const ports = 32
+	// Highest address first, so the first Learn sizes the table.
+	txs := make([]*Tx, ports)
+	for a := ports - 1; a >= 0; a-- {
+		txs[a] = sw.ConnectPort(Addr(a), sink)
+	}
+	frames := make([]Frame, ports-1)
+	send := func() {
+		for i := range frames {
+			frames[i] = Frame{Src: 0, Dst: Addr(i + 1), WireBytes: 1538}
+			txs[0].Send(&frames[i])
+		}
+		s.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("forwarding %d learned unicasts allocated %.2f objects per batch; want 0", len(frames), allocs)
+	}
+	if st := sw.Stats(); st.Flooded != 0 || got != int(st.Forwarded) || got == 0 {
+		t.Fatalf("stats %+v after %d deliveries; every frame should be forwarded", st, got)
+	}
 }

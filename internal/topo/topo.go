@@ -421,6 +421,8 @@ type Trunk struct {
 // Layout is a concrete wiring plan: the expansion of a Spec for a
 // given host count. Everything is ordered deterministically, so
 // building the same Layout twice yields byte-identical simulations.
+// Nothing writes to a Layout once Spec.Layout returns it, so any number
+// of builders, on any goroutines, may share one.
 type Layout struct {
 	Spec  Spec
 	Hosts int
