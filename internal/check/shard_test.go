@@ -90,9 +90,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 
 // TestScaleFourThousand is the sharded-scale acceptance case: 4096
 // receivers on a 128-leaf fat-tree, the topology-scaled tree protocol,
-// four shards, every applicable invariant checker clean. The serial
-// engine was never exercised at this size; the shard group is what
-// makes the wall time tolerable. Skipped in -short runs.
+// four shards, every applicable invariant checker clean. Skipped in
+// -short runs.
 func TestScaleFourThousand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4k-receiver run skipped in -short mode")
@@ -101,13 +100,16 @@ func TestScaleFourThousand(t *testing.T) {
 	ccfg.Shards = 4
 	// The allocation roll call is the one flat convergecast left in the
 	// tree protocol: every AllocReq provokes all 4096 receivers into
-	// unicasting alloc-ok at once, and the sender drains its socket at
-	// recv-syscall speed (~50µs each). The 64 KiB default receive
-	// buffer holds ~3600 of those small datagrams, so the tail of the
-	// burst is dropped — and the retry rounds are deterministic, so the
-	// same tail drops every round and the handshake livelocks.
-	// Provision the sender like a real 4k-client server: a receive
-	// buffer that holds one full roll-call round.
+	// unicasting alloc-ok at once, and the sender reads them at
+	// recv-syscall speed (~50µs each, ~205 ms a round). A retry waits
+	// until a full AllocTimeout passes with no new confirmation, so one
+	// round is read before the next is asked for. The 64 KiB default
+	// receive buffer still holds only ~3600 of those small datagrams:
+	// the tail of the burst is dropped, the rounds are deterministic,
+	// so the same tail is dropped every round and with the default
+	// buffer no receiver ever gets past the handshake. Provision the
+	// sender like a real 4k-client server: a receive buffer that holds
+	// one full roll-call round.
 	ccfg.RecvBuf = 1 << 20
 	runScaleCase(t, ccfg, pcfg, 64*1024)
 }

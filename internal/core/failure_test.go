@@ -266,3 +266,60 @@ func TestEjectedReceiverGoesQuiet(t *testing.T) {
 		t.Error("ejected receiver heard every packet yet did not assemble the message")
 	}
 }
+
+// TestTreeRepairsLostDeparture loses the one multicast copy of a
+// mid-chain departure — rank 3 crashes and is ejected, or leaves
+// gracefully with failure detection off — on its way to rank 2, its
+// predecessor. Rank 2 keeps waiting on the departed successor's
+// aggregate, so the sender must re-announce the departure to the
+// stalled chain; rank 2 then adopts rank 4 and the session completes.
+func TestTreeRepairsLostDeparture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind packet.Type
+	}{
+		{"eject", packet.TypeEject},
+		{"leave", packet.TypeLeft},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := failureConfig(ProtoTree, 4)
+			if tc.kind == packet.TypeLeft {
+				cfg.MaxRetries = 0
+			}
+			ses, err := newSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lost := false
+			ses.net.drop = func(from, to NodeID, p *packet.Packet) bool {
+				if to == 2 && p.Type == tc.kind && !lost {
+					lost = true
+					return true
+				}
+				return tc.kind == packet.TypeEject && crash(3)(from, to, p)
+			}
+			if tc.kind == packet.TypeLeft {
+				ses.net.s.After(time.Millisecond, func() { ses.receivers[2].Leave() })
+			}
+			msg := pattern(5000)
+			if !ses.run(msg, 10*time.Second) {
+				t.Fatal("sender did not terminate: the chain stalled behind the lost departure")
+			}
+			if !lost {
+				t.Fatal("no departure was announced")
+			}
+			gone := ses.sender.Failed()
+			if tc.kind == packet.TypeLeft {
+				gone = ses.sender.Left()
+			}
+			if len(gone) != 1 || gone[0] != 3 {
+				t.Fatalf("departed = %v, want [3]", gone)
+			}
+			for _, r := range []int{1, 2, 4} {
+				if !bytes.Equal(ses.delivered[r], msg) {
+					t.Errorf("survivor %d did not deliver", r)
+				}
+			}
+		})
+	}
+}

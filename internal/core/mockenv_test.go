@@ -18,6 +18,10 @@ type mockNet struct {
 	endpoints map[NodeID]Endpoint
 	// drop, when non-nil, discards matching transmissions.
 	drop func(from, to NodeID, p *packet.Packet) bool
+	// delay, when non-nil, adds to the latency of each transmission.
+	delay func(from, to NodeID, p *packet.Packet) time.Duration
+	// armed, when non-nil, is told of every timer a node arms.
+	armed func(self NodeID)
 	// receivers is the group size for multicast fan-out.
 	receivers int
 
@@ -46,7 +50,11 @@ func (m *mockNet) transmit(from, to NodeID, p *packet.Packet) {
 	}
 	// Round-trip through the codec, as the real transports do.
 	wire := p.Encode()
-	m.s.After(m.latency, func() {
+	d := m.latency
+	if m.delay != nil {
+		d += m.delay(from, to, p)
+	}
+	m.s.After(d, func() {
 		ep := m.endpoints[to]
 		if ep == nil {
 			return
@@ -78,6 +86,9 @@ func (e *mockEnv) Multicast(p *packet.Packet) {
 }
 
 func (e *mockEnv) SetTimer(d time.Duration, fn func()) TimerID {
+	if e.net.armed != nil {
+		e.net.armed(e.self)
+	}
 	return TimerID(e.net.s.After(d, fn))
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -100,6 +101,13 @@ type Sender struct {
 	allocAt     time.Duration
 	allocSample bool
 	allocSends  int
+	// allocWait is the period the alloc timer was last armed with, and
+	// lastAllocOK the instant the newest first confirmation was read. A
+	// retry is due only once allocWait passes with no new confirmation
+	// (onTimeout), so a sender still reading one round of answers
+	// does not multicast the next.
+	allocWait   time.Duration
+	lastAllocOK time.Duration
 
 	// est is the estimator that round-trip samples feed. With
 	// AdaptiveRTO it aliases rto; with rate control alone it is a
@@ -351,6 +359,7 @@ func (s *Sender) Start(msg []byte) {
 	s.sampleLive = false
 	s.allocSample = false
 	s.allocSends = 0
+	s.lastAllocOK = -time.Hour
 	s.lastResent = make(map[uint32]time.Duration)
 	s.nextSendAt = 0
 	s.paceGen++
@@ -411,7 +420,8 @@ func (s *Sender) sendAlloc() {
 		MsgID: s.msgID,
 		Aux:   uint32(len(s.msg)),
 	})
-	s.armTimer(s.allocRTO(s.cfg.AllocTimeout * s.rtoMult))
+	s.allocWait = s.allocRTO(s.cfg.AllocTimeout * s.rtoMult)
+	s.armTimer(s.allocWait)
 }
 
 // OnPacket dispatches an incoming control packet.
@@ -460,7 +470,7 @@ func (s *Sender) onAllocOK(from NodeID) {
 		return
 	}
 	s.allocOK[from] = true
-	s.resetBackoff()
+	s.lastAllocOK = s.env.Now()
 	s.failRounds = 0
 	s.exonerate(from)
 	s.maybeFinishAlloc()
@@ -497,6 +507,9 @@ func (s *Sender) maybeFinishAlloc() {
 		s.allocSample = false
 		s.observeRTT(s.env.Now() - s.allocAt)
 	}
+	// The roll call is complete: the data phase starts at multiplier 1
+	// whatever the handshake's retries built up.
+	s.resetBackoff()
 	s.phase = phaseData
 	s.cancelTimer()
 	s.pump()
@@ -772,6 +785,15 @@ func (s *Sender) cancelTimer() {
 }
 
 func (s *Sender) onTimeout() {
+	if s.phase == phaseAlloc {
+		if rest := s.lastAllocOK + s.allocWait - s.env.Now(); rest > 0 {
+			// A confirmation arrived since the timer was armed: the
+			// sender is still reading this round, so wait out the rest
+			// of a full period after the newest one instead of retrying.
+			s.armTimer(rest)
+			return
+		}
+	}
 	s.stats.Timeouts++
 	if s.rtoMult < 64 {
 		s.rtoMult *= 2
@@ -784,6 +806,9 @@ func (s *Sender) onTimeout() {
 	case phaseAlloc:
 		s.sendAlloc()
 	case phaseData:
+		if s.isTree {
+			s.reannounce()
+		}
 		if s.rc != nil {
 			// A retransmission timeout is a loss round even when no NAK
 			// arrived (e.g. every acknowledgment was lost).
@@ -915,6 +940,46 @@ func (s *Sender) exonerate(from NodeID) {
 	if len(s.suspects) == 0 {
 		// Everyone answered: the stall was slowness or loss, not death.
 		s.endProbe()
+	}
+}
+
+// reannounce repeats the departures of each stalled tree chain's
+// members to that chain's survivors, one unicast per departure and
+// survivor. An ejection or leave is multicast once; a member that lost
+// its copy keeps waiting on the departed neighbour's aggregate, and a
+// retransmission cannot tell it (it answers data and probes alike), so
+// every data timeout repeats what the stalled chains may have missed.
+// Receivers ignore a departure they already know.
+func (s *Sender) reannounce() {
+	if len(s.dead) == 0 {
+		return
+	}
+	min := s.acks.Min()
+	done := make([]bool, s.tree.NumChains())
+	for r := 1; r <= s.cfg.NumReceivers; r++ {
+		if v, tracked := s.acks.Value(r); !tracked || v != min {
+			continue
+		}
+		c := s.tree.Chain(NodeID(r))
+		if done[c] {
+			continue
+		}
+		done[c] = true
+		members := s.tree.Members(c)
+		for _, gone := range members {
+			if !s.dead[gone] {
+				continue
+			}
+			t := packet.TypeEject
+			if slices.Contains(s.left, gone) {
+				t = packet.TypeLeft
+			}
+			for _, m := range members {
+				if !s.out[m] {
+					s.env.Send(m, &packet.Packet{Type: t, MsgID: s.msgID, Aux: uint32(gone)})
+				}
+			}
+		}
 	}
 }
 

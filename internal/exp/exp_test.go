@@ -336,7 +336,10 @@ func atof(t *testing.T, s string) float64 {
 // experiment measures or prints — never with a change to how its points
 // are scheduled. table2's moved once, when its measured table's
 // analytic column began reading the load of the session that ran
-// (before, every N-dependent entry printed 0).
+// (before, every N-dependent entry printed 0). ext_failures' and
+// ext_contention's moved once, when an allocation retry began to wait a
+// full AllocTimeout after the newest confirmation read instead of after
+// the request.
 var goldenReports = map[string]string{
 	"table1":            "b20bbbe40cef4b50e6bd81cf1e00d74444e3f3527ea17d500406b4ce106755c0",
 	"table2":            "138eda946adb0f62843869efc150400f8e5239f21d15edd7b3045ccf80140ea0",
@@ -363,8 +366,8 @@ var goldenReports = map[string]string{
 	"ablation_relay":    "396738a01333d4f1353b861b1a3738b6e1923d655243895773393e63888adbcf",
 	"ablation_suppress": "ef6f55f1c1ad4bc110b9b08899f759de52f0b9ad9d5e693b7fe014dfa163bf56",
 	"ext_appsim":        "c9f9ac43771ab42e6df14618cf1d0eedaa6374e6a76bbd8aefc30119623871dd",
-	"ext_contention":    "dd8c303249df95ee7735f9577291e7948f938da97d16088d53e91c565b28aa27",
-	"ext_failures":      "412bd1be40b7a7fc558037360ca46e076ec226ca0cb1533ad4b1e3db1a48fe52",
+	"ext_contention":    "0a8efb8db4f5a989ab681a140a110b1f40aa8911b01675481a42d4cb283e9829",
+	"ext_failures":      "d00c731a29bbd3ad58e437808facd99ef3df50d5e649f7197ab79ff6d0f92d27",
 	"ext_gigabit":       "78289179ef64510c52121333ffa237cc0363a84c48466239a5a3d6d7cf022a4f",
 	"ext_scale":         "3e1f5afd21db19419e3a4aadb3d22b00b0722704dab91c20305ec255511cd0ca",
 	"ext_straggler":     "e2971e87ff9bbeca103a9d19c69d5f68aba18d3f20e707c6eb79d8fe168fc393",

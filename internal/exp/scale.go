@@ -137,7 +137,7 @@ func runExtScale(ctx context.Context, o Options) (*Report, error) {
 	}
 	if !ack.completed {
 		findings = append(findings, fmt.Sprintf(
-			"flat ACK does not finish at %d receivers within %v of virtual time (%d retransmissions burned): every data packet triggers N acknowledgments at one socket, and past the buffer's implosion point the sender retransmits into its own ack storm",
+			"flat ACK does not finish at %d receivers within %v of virtual time (%d retransmissions): every data packet triggers N acknowledgments, and the sender reads them one at a time at one socket",
 			last, scaleDeadline, ack.retrans))
 	} else {
 		findings = append(findings, fmt.Sprintf(
